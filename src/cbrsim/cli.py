@@ -5,8 +5,9 @@ Subcommands:
   sweep  node-count sweep over both protocol modes -> CSV
   trace  scripted head-death failover scenario -> pass/fail + event summary
 
-Flags override values from the config file; the default config file path can
-be set with the CBRSIM_CONFIG environment variable.
+For run and sweep, flags override values from the config file; the default
+config file path can be set with the CBRSIM_CONFIG environment variable. The
+trace scenario is scripted and takes no configuration.
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(fn=_cmd_sweep)
 
     p_trace = sub.add_parser("trace", help="scripted failover scenario, pass/fail")
-    common(p_trace)
     p_trace.add_argument("--verbose", action="store_true", help="print the hop log")
     p_trace.set_defaults(fn=_cmd_trace)
     return parser

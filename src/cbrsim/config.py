@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 
@@ -71,6 +72,10 @@ class ScenarioConfig:
         return self.undecided_timer_intervals * self.hello_interval_s
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be a finite number, got {value}")
         if self.protocol_mode not in ("cbrp", "ecbrp"):
             raise ConfigError(f"protocol_mode: must be 'cbrp' or 'ecbrp', got {self.protocol_mode!r}")
         if self.effective_flows() > 0 and self.node_count < 2:
@@ -107,7 +112,10 @@ def _parse_value(key: str, raw: str):
     if key == "flows":
         if raw.lower() in ("none", ""):
             return None
-        return int(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer or 'none', got {raw!r}")
     if ftype == "bool" or key == "route_cache":
         if raw.lower() in ("1", "true", "on", "yes"):
             return True
@@ -125,14 +133,6 @@ def _parse_value(key: str, raw: str):
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}")
     return raw
-
-
-def apply_overrides(config: ScenarioConfig, overrides: dict) -> ScenarioConfig:
-    for key, value in overrides.items():
-        if not hasattr(config, key):
-            raise ConfigError(f"{key}: unknown configuration key")
-        setattr(config, key, value)
-    return config
 
 
 def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .config import ScenarioConfig
-from .geometry import Position, distance
+from .geometry import distance
 from .messages import DataPacket
 from .metrics import RunMetrics
 
@@ -39,7 +39,7 @@ class Event:
 class RngStreams:
     """Named, independently seeded sub-streams of one run seed."""
 
-    NAMES = ("placement", "waypoints", "traffic", "timers")
+    NAMES = ("placement", "waypoints", "traffic")
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -49,14 +49,11 @@ class RngStreams:
 
 @dataclass
 class HopRecord:
-    """One successful data-packet hop, for post-hoc feasibility checks."""
+    """One successful data-packet hop."""
     time: float
     packet_id: int
     from_id: int
     to_id: int
-    from_pos: Position
-    to_pos: Position
-    receiver_alive: bool
 
 
 class Simulator:
@@ -122,7 +119,7 @@ class Simulator:
         cost = node.energy.transmit_cost
         if node.role == ROLE_HEAD:
             cost *= self.config.head_transmit_cost_factor
-        node.energy.remaining = max(0.0, node.energy.remaining - cost)
+        node.energy.charge(cost)
 
     def _after_transmit(self, node) -> None:
         if node.energy.depleted and node.alive:
@@ -151,8 +148,7 @@ class Simulator:
               and distance(sender.pos, target.pos) <= self.config.tx_range_m)
         if ok:
             if isinstance(message, DataPacket):
-                self.hop_log.append(HopRecord(self.now, message.packet_id, sender_id,
-                                              next_hop, sender.pos, target.pos, True))
+                self.hop_log.append(HopRecord(self.now, message.packet_id, sender_id, next_hop))
             self._schedule_delivery(sender_id, next_hop, message, self.config.propagation_delay_s)
         self._after_transmit(sender)
         return ok

@@ -2,27 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, List, Optional, Tuple
 
 from .geometry import Position
-
-
-@dataclass
-class NeighborSnapshot:
-    """One neighbor-table row as advertised in a HELLO."""
-    node_id: int
-    role: str
-    cluster_id: Optional[int]
-
-
-@dataclass
-class AdjacencySnapshot:
-    """One cluster-adjacency row: a foreign cluster reachable via a gateway."""
-    cluster_id: int                  # foreign cluster = its head's id
-    gateway_id: int
-    relay_id: Optional[int]          # foreign member to relay through, if the
-                                     # gateway cannot reach the foreign head directly
 
 
 @dataclass
@@ -33,8 +16,7 @@ class Hello:
     sender_weight: Optional[float]           # ECBRP only
     cluster_id: Optional[int]                # head id of sender's cluster
     secondary_id: Optional[int]              # sender's view of its cluster's secondary
-    neighbor_snapshot: List[NeighborSnapshot] = field(default_factory=list)
-    adjacency_snapshot: List[AdjacencySnapshot] = field(default_factory=list)
+    neighbor_snapshot: FrozenSet[int] = frozenset()  # ids of the sender's fresh neighbours
 
 
 @dataclass
@@ -60,10 +42,6 @@ class RouteReply:
 
 @dataclass
 class RouteError:
-    reporter_id: int
-    broken_link: Tuple[int, int]
-    packet_id: int
-    source_id: int
     dest_id: int
 
 
@@ -74,4 +52,3 @@ class DataPacket:
     dest_id: int
     route: List[int]
     cursor: int = 0
-    payload_size: int = 1

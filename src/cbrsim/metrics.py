@@ -15,6 +15,8 @@ class RunMetrics:
     dropped: Dict[str, int] = field(default_factory=lambda: {c: 0 for c in DROP_CAUSES})
     cluster_reformations: int = 0
     head_changes: int = 0
+    # Always 0: no code path writes it. Kept only because the benchmark's
+    # behaviour digest (perfbench/workloads.py, run_digest) hashes it.
     malformed_entries: int = 0
 
     def drop(self, cause: str) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .geometry import Position, distance
 
@@ -30,6 +30,10 @@ class EnergyState:
 
     def consumed(self) -> float:
         return self.initial - self.remaining
+
+    def charge(self, cost: float) -> None:
+        """Pay for one transmission; the remainder clamps at zero."""
+        self.remaining = max(0.0, self.remaining - cost)
 
 
 def place_nodes(n: int, width: float, height: float, rng: random.Random) -> List[Position]:
@@ -74,8 +78,3 @@ def mobility_step(pos: Position, state: MobilityState, dt: float, pause_time: fl
     state.total_time += dt
     return pos, state
 
-
-def consume_transmit_energy(energy: EnergyState, cost: Optional[float] = None) -> EnergyState:
-    """Charge one transmission; the remainder clamps at zero."""
-    energy.remaining = max(0.0, energy.remaining - (cost if cost is not None else energy.transmit_cost))
-    return energy

@@ -10,12 +10,12 @@ Two protocol modes share the machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from . import routing
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 from .geometry import Position, distance
-from .messages import (AdjacencySnapshot, DataPacket, Hello, NeighborSnapshot,
-                       RouteError, RouteReply, RouteRequest, SecondaryAnnounce)
+from .messages import DataPacket, Hello, RouteReply, RouteRequest, SecondaryAnnounce
 from .mobility import EnergyState, MobilityState
 from .weights import WeightComponents, WeightFactors, average_speed, combined_weight, degree_difference
 
@@ -28,7 +28,7 @@ class NeighborEntry:
     weight: Optional[float]
     pos: Position
     secondary_id: Optional[int]
-    one_hop: Tuple[int, ...]     # ids the neighbor itself advertised hearing
+    one_hop: FrozenSet[int]      # ids the neighbor itself advertised hearing
     last_heard: float
 
 
@@ -50,9 +50,7 @@ class Node:
         self.my_secondary: Optional[int] = None          # as head
         self.cluster_secondary: Optional[int] = None     # as member, of own cluster
         self.neighbors: Dict[int, NeighborEntry] = {}
-        # foreign cluster id -> {(gateway, relay): last_refreshed}
-        self.adjacency: Dict[int, Dict[Tuple[int, Optional[int]], float]] = {}
-        self.known_secondaries: Dict[int, Tuple[int, float]] = {}
+        self.known_secondaries: Dict[int, int] = {}       # head id -> its secondary
 
         self.ch_accum_s = 0.0
         self._ch_since: Optional[float] = None
@@ -62,9 +60,7 @@ class Node:
         self._last_secondary_announce = -1e9
         self._last_undecided_reply = -1e9
         self.last_advertised_weight: Optional[float] = None
-
-        from .routing import RoutingState
-        self.routing = RoutingState()
+        self.routing = routing.RoutingState()
 
     # -- basic queries -----------------------------------------------------
 
@@ -142,16 +138,10 @@ class Node:
         # Weight is recomputed immediately before every broadcast.
         weight = self.weight_now() if self.mode == "ecbrp" else None
         self.last_advertised_weight = weight
-        nbr_rows = [NeighborSnapshot(e.node_id, e.role, e.cluster_id)
-                    for e in self.fresh_neighbors()]
-        cutoff = self.sim.now - self._stale_timeout()
-        adj_rows = [AdjacencySnapshot(cid, gw, relay)
-                    for cid, entries in self.adjacency.items()
-                    for (gw, relay), ts in entries.items()
-                    if gw == self.node_id and ts >= cutoff]
+        one_hop = frozenset(e.node_id for e in self.fresh_neighbors())
         secondary = self.my_secondary if self.role == ROLE_HEAD else self.cluster_secondary
         return Hello(self.node_id, self.role, self.pos, weight,
-                     self.cluster_id, secondary, nbr_rows, adj_rows)
+                     self.cluster_id, secondary, one_hop)
 
     def send_hello(self) -> None:
         self.sim.broadcast(self.node_id, self.build_hello())
@@ -159,7 +149,6 @@ class Node:
     # -- message dispatch --------------------------------------------------
 
     def handle_message(self, message, sender_id: int) -> None:
-        from . import routing
         if isinstance(message, Hello):
             self.on_hello(message, sender_id)
         elif isinstance(message, SecondaryAnnounce):
@@ -168,8 +157,6 @@ class Node:
             routing.handle_rreq(self.sim, self, message)
         elif isinstance(message, RouteReply):
             routing.handle_rrep(self.sim, self, message)
-        elif isinstance(message, RouteError):
-            routing.handle_rerr(self.sim, self, message)
         elif isinstance(message, DataPacket):
             routing.handle_data(self.sim, self, message)
 
@@ -177,20 +164,12 @@ class Node:
 
     def on_hello(self, hello: Hello, sender_id: int) -> None:
         now = self.sim.now
-        one_hop = []
-        for row in hello.neighbor_snapshot:
-            if not isinstance(row, NeighborSnapshot) or not isinstance(row.node_id, int):
-                self.sim.metrics.malformed_entries += 1
-                continue
-            one_hop.append(row.node_id)
         self.neighbors[sender_id] = NeighborEntry(
             sender_id, hello.sender_role, hello.cluster_id, hello.sender_weight,
-            hello.sender_pos, hello.secondary_id, tuple(one_hop), now)
+            hello.sender_pos, hello.secondary_id, hello.neighbor_snapshot, now)
 
         if hello.cluster_id is not None and hello.secondary_id is not None:
-            self.known_secondaries[hello.cluster_id] = (hello.secondary_id, now)
-
-        self._update_adjacency_from(hello, sender_id)
+            self.known_secondaries[hello.cluster_id] = hello.secondary_id
 
         if self.role == ROLE_HEAD:
             self._head_on_hello(hello, sender_id)
@@ -200,22 +179,6 @@ class Node:
             if hello.sender_role == ROLE_HEAD and not self._join_eval_scheduled:
                 self._join_eval_scheduled = True
                 self.sim.schedule(now, "join-evaluate", self._join_evaluate)
-
-    def _update_adjacency_from(self, hello: Hello, sender_id: int) -> None:
-        now = self.sim.now
-        my_cluster = self.cluster_id
-        sender_cluster = hello.cluster_id
-        if my_cluster is not None and sender_cluster is not None and sender_cluster != my_cluster:
-            # I can reach that cluster: directly if the sender is its head,
-            # otherwise by relaying through the sender.
-            relay = None if hello.sender_role == ROLE_HEAD else sender_id
-            self.adjacency.setdefault(sender_cluster, {})[(self.node_id, relay)] = now
-        if self.role == ROLE_HEAD and sender_cluster == self.node_id:
-            # Merge a member's own gateway rows into the head's table.
-            for row in hello.adjacency_snapshot:
-                if row.cluster_id == self.node_id:
-                    continue
-                self.adjacency.setdefault(row.cluster_id, {})[(row.gateway_id, row.relay_id)] = now
 
     def _head_on_hello(self, hello: Hello, sender_id: int) -> None:
         now = self.sim.now
@@ -355,7 +318,7 @@ class Node:
     # -- secondary head (ECBRP) -------------------------------------------
 
     def on_secondary_announce(self, msg: SecondaryAnnounce) -> None:
-        self.known_secondaries[msg.head_id] = (msg.secondary_id, self.sim.now)
+        self.known_secondaries[msg.head_id] = msg.secondary_id
         if self.role == ROLE_MEMBER and self.head_id == msg.head_id:
             self.cluster_secondary = msg.secondary_id
 
@@ -383,19 +346,11 @@ class Node:
     def table_maintenance(self) -> None:
         if not self.alive:
             return
-        now = self.sim.now
-        cutoff = now - self._stale_timeout()
+        cutoff = self.sim.now - self._stale_timeout()
         expired = [nid for nid, e in self.neighbors.items() if e.last_heard < cutoff]
         for nid in expired:
             del self.neighbors[nid]
             self.member_ids.discard(nid)
-        for cid in list(self.adjacency):
-            entries = self.adjacency[cid]
-            for key, ts in list(entries.items()):
-                if ts < cutoff:
-                    del entries[key]
-            if not entries:
-                del self.adjacency[cid]
         if (self.role == ROLE_MEMBER and self.head_id is not None
                 and self.head_id not in self.neighbors):
             self.on_head_failure(self.head_id)
@@ -405,8 +360,8 @@ class Node:
     def on_head_failure(self, failed_head_id: int) -> None:
         if self.mode == "ecbrp":
             secondary = self.cluster_secondary
-            if secondary is None and failed_head_id in self.known_secondaries:
-                secondary = self.known_secondaries[failed_head_id][0]
+            if secondary is None:
+                secondary = self.known_secondaries.get(failed_head_id)
             if secondary == self.node_id:
                 # Promotion in place: the cluster re-labels to the new head's id.
                 self.become_head()

@@ -241,19 +241,14 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
             return
 
     sim.account_dropped(packet.packet_id, "route-error")
-    _report_route_error(sim, node, packet, failed_next)
+    _report_route_error(sim, packet)
 
 
 def _secondary_for(node, failed_id: int) -> Optional[int]:
-    """The secondary of the cluster headed by failed_id, if this node knows it
-    and believes failed_id was a cluster head."""
+    """The secondary of the cluster headed by failed_id, if this node knows it."""
     if node.head_id == failed_id and node.cluster_secondary is not None:
         return node.cluster_secondary
-    entry = node.neighbors.get(failed_id)
-    was_head = (entry is not None and entry.role == ROLE_HEAD) or failed_id in node.known_secondaries
-    if was_head and failed_id in node.known_secondaries:
-        return node.known_secondaries[failed_id][0]
-    return None
+    return node.known_secondaries.get(failed_id)
 
 
 def _usable_neighbor(node, candidate: int) -> bool:
@@ -275,11 +270,10 @@ def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> O
     return min(candidates) if candidates else None
 
 
-def _report_route_error(sim: Simulator, node, packet: DataPacket, failed_next: int) -> None:
+def _report_route_error(sim: Simulator, packet: DataPacket) -> None:
     # Control-plane shortcut: the notice reaches the source directly. The
     # data packet itself was already dropped at the detector.
-    notice = RouteError(node.node_id, (node.node_id, failed_next),
-                        packet.packet_id, packet.source_id, packet.dest_id)
+    notice = RouteError(packet.dest_id)
     source_id = packet.source_id
 
     def deliver():

@@ -257,47 +257,13 @@ def test_silent_neighbor_expires_after_three_intervals():
     assert 1 not in sim.nodes[0].neighbors
 
 
-def test_adjacency_survives_while_any_gateway_is_fresh():
-    sim = bare_sim()
-    node = add_node(sim, 0, 0.0, 0.0)
-    sim.schedule(10.0, "advance", lambda: None)
-    sim.run_until(10.0)
-    node.adjacency = {5: {(1, None): 2.0,     # stale (cutoff is now-3 = 7)
-                          (2, None): 9.0}}    # fresh
-    node.table_maintenance()
-    assert node.adjacency == {5: {(2, None): 9.0}}
-
-
-def test_adjacency_cluster_dropped_when_all_gateways_stale():
-    sim = bare_sim()
-    node = add_node(sim, 0, 0.0, 0.0)
-    sim.schedule(10.0, "advance", lambda: None)
-    sim.run_until(10.0)
-    node.adjacency = {5: {(1, None): 2.0}}
-    node.table_maintenance()
-    assert node.adjacency == {}
-
-
 def test_fresh_tables_pass_maintenance_unchanged():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
-    node.adjacency = {5: {(1, None): 0.0}}
     node.neighbors = {1: NeighborEntry(1, ROLE_MEMBER, 5, None, Position(10, 0),
                                        None, (), 0.0)}
     node.table_maintenance()
-    assert node.adjacency == {5: {(1, None): 0.0}}
     assert 1 in node.neighbors
-
-
-def test_gateway_learns_adjacent_cluster_from_foreign_hello():
-    sim = bare_sim()
-    node = add_node(sim, 3, 0.0, 0.0)
-    node.role = ROLE_MEMBER
-    node.head_id = 1
-    node.on_hello(Hello(8, ROLE_MEMBER, Position(20, 0), None, 9, None), 8)
-    assert node.adjacency == {9: {(3, 8): sim.now}}  # relay through the member
-    node.on_hello(Hello(9, ROLE_HEAD, Position(30, 0), None, 9, None), 9)
-    assert (3, None) in node.adjacency[9]            # direct reach of the head
 
 
 def test_timer_expirations_are_seed_deterministic():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cbrsim import ScenarioConfig, run_scenario
-from cbrsim.engine import ROLE_DEAD, Simulator
+from cbrsim.engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, Simulator
 from cbrsim.scenario import build_simulation
 
 from conftest import add_node, bare_sim, static_config
@@ -83,6 +83,18 @@ def test_lone_broadcast_still_costs_energy():
     before = node.energy.remaining
     assert sim.broadcast(0, _Probe()) == frozenset()
     assert node.energy.remaining == before - sim.config.transmit_cost
+
+
+def test_head_pays_cost_factor_per_broadcast_member_pays_one():
+    sim = bare_sim(head_transmit_cost_factor=8.0)
+    head = add_node(sim, 0, 0.0, 0.0)
+    member = add_node(sim, 1, 200.0, 0.0)
+    head.role = ROLE_HEAD
+    member.role = ROLE_MEMBER
+    sim.broadcast(0, _Probe())
+    sim.broadcast(1, _Probe())
+    assert head.energy.consumed() == 8.0
+    assert member.energy.consumed() == 1.0
 
 
 def test_final_transmission_delivers_then_kills_sender():

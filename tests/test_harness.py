@@ -235,6 +235,27 @@ def test_cli_config_error_exits_2(capsys):
     assert "node_count" in capsys.readouterr().err
 
 
+def test_cli_unparsable_flows_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.conf"
+    path.write_text("flows = abc\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "flows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_number_exits_2(value, capsys):
+    assert main(["run", "--set", f"duration_s={value}"]) == 2
+    assert "duration_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--config", "x.conf"], ["--seed", "3"],
+                                  ["--set", "node_count=5"]])
+def test_cli_trace_rejects_config_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", *flag])
+    assert exc.value.code == 2
+
+
 def test_cli_config_file_and_env(tmp_path, monkeypatch, capsys):
     path = tmp_path / "base.conf"
     path.write_text("node_count = 6\nduration_s = 5\n")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbrsim.geometry import Position, distance, in_range
-from cbrsim.mobility import (EnergyState, MobilityState, consume_transmit_energy,
-                             mobility_step, place_nodes, random_waypoint)
+from cbrsim.mobility import (EnergyState, MobilityState, mobility_step, place_nodes,
+                             random_waypoint)
 
 
 def in_bounds(p, width=400.0, height=400.0):
@@ -121,7 +121,7 @@ def test_walk_never_leaves_arena_and_odometer_is_monotone(seed, steps, speed, pa
 def test_three_transmissions_cost_three_units():
     e = EnergyState(remaining=100.0, initial=100.0, transmit_cost=1.0)
     for _ in range(3):
-        consume_transmit_energy(e)
+        e.charge(e.transmit_cost)
     assert e.remaining == 97.0
     assert e.consumed() == 3.0
     assert not e.depleted
@@ -129,13 +129,13 @@ def test_three_transmissions_cost_three_units():
 
 def test_exact_depletion():
     e = EnergyState(remaining=1.0, initial=100.0, transmit_cost=1.0)
-    consume_transmit_energy(e)
+    e.charge(e.transmit_cost)
     assert e.remaining == 0.0
     assert e.depleted
 
 
 def test_underflow_clamps_to_zero():
     e = EnergyState(remaining=0.5, initial=100.0, transmit_cost=1.0)
-    consume_transmit_energy(e)
+    e.charge(e.transmit_cost)
     assert e.remaining == 0.0
     assert e.depleted

@@ -12,7 +12,7 @@ from conftest import add_node, assert_conserved, assert_loop_free, bare_sim, sta
 
 def entry(sim, node_id, role, cluster, x, y, one_hop=()):
     return NeighborEntry(node_id, role, cluster, None, Position(x, y),
-                         None, tuple(one_hop), sim.now)
+                         None, frozenset(one_hop), sim.now)
 
 
 # -- discovery --------------------------------------------------------------
@@ -167,7 +167,7 @@ def test_secondary_substitution_repairs_dead_head_hop():
     dead_head.role = "dead"
     gateway.neighbors[2] = entry(sim, 2, ROLE_HEAD, 2, 140.0, 0.0)
     gateway.neighbors[4] = entry(sim, 4, ROLE_MEMBER, 2, 140.0, 25.0)
-    gateway.known_secondaries[2] = (4, sim.now)
+    gateway.known_secondaries[2] = 4
     source.routing.routes[3] = [0, 1, 2, 3]
     routing.generate_packet(sim, 0, 3)
     sim.run_until(0.0)
@@ -188,6 +188,30 @@ def test_salvage_used_when_secondary_unknown():
     add_node(sim, 5, 100.0, 30.0)
     dead_head.role = "dead"
     gateway.neighbors[5] = entry(sim, 5, ROLE_MEMBER, None, 100.0, 30.0, one_hop=(3,))
+    source.routing.routes[3] = [0, 1, 2, 3]
+    routing.generate_packet(sim, 0, 3)
+    sim.run_until(0.0)
+    assert sim.metrics.packets_delivered == 1
+    hops = [(r.from_id, r.to_id) for r in sim.hop_log]
+    assert (1, 5) in hops and (5, 3) in hops
+    assert_conserved(sim)
+
+
+def test_salvage_uses_neighbour_ids_advertised_in_hello():
+    # As above, but node 5 learns of 3 and the gateway learns 5's neighbour
+    # ids from real HELLOs rather than from scripted table entries.
+    sim = bare_sim(mode="ecbrp")
+    source = add_node(sim, 0, 0.0, 0.0)
+    gateway = add_node(sim, 1, 70.0, 0.0)
+    dead_head = add_node(sim, 2, 140.0, 0.0)
+    dest = add_node(sim, 3, 160.0, 20.0)
+    relay = add_node(sim, 5, 100.0, 30.0)
+    relay.on_hello(dest.build_hello(), 3)
+    hello = relay.build_hello()
+    assert hello.neighbor_snapshot == frozenset({3})
+    gateway.on_hello(hello, 5)
+    assert gateway.neighbors[5].one_hop == frozenset({3})
+    dead_head.role = "dead"
     source.routing.routes[3] = [0, 1, 2, 3]
     routing.generate_packet(sim, 0, 3)
     sim.run_until(0.0)
