@@ -23,6 +23,7 @@ config = ScenarioConfig(node_count=len(POSITIONS), protocol_mode="ecbrp",
                         duration_s=10.0, seed=1, node_speed_mps=0.0, flows=0)
 sim = build_simulation(
     config, positions={i: Position(x, y) for i, (x, y) in POSITIONS.items()})
+sim.trace = []
 sim.run_until(config.duration_s)
 
 print("role assignments after formation:")
@@ -35,8 +36,9 @@ for node in sim.nodes.values():
         extra = f"  cluster head={node.head_id}"
     print(f"  node {node.node_id}: {node.role:9s} weight={node.weight_now():6.2f}{extra}")
 
-print(f"\nelections held: {len(sim.election_log)}")
-for t, head, weight, contested in sim.election_log:
+elections = sim.records("election")
+print(f"\nelections held: {len(elections)}")
+for t, head, weight, contested in elections:
     print(f"  t={t:4.1f}s  node {head} won with weight {weight:.2f} "
           f"against {list(contested) or 'no contenders'}")
 

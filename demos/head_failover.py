@@ -22,10 +22,11 @@ for mode, label in (("cbrp", "baseline (lowest-id election, no secondary)"),
           f"{m.total_dropped} dropped")
     print(f"  delivered after the head died (t>={FAILOVER_KILL_TIME:.0f}s): "
           f"{result.delivered_after_kill}")
-    print(f"  cluster reformations: {m.cluster_reformations}, "
-          f"nodes forced back to undecided: {len(result.sim.undecided_transitions)}")
+    print(f"  cluster reformations (nodes forced back to undecided): "
+          f"{m.cluster_reformations}")
     # The hop path actually taken by the last delivered packet tells the
     # recovery story: the dead head 0 is replaced on the fly.
-    last_pid = max(r.packet_id for r in result.sim.hop_log if r.to_id == 3)
-    hops = [r.from_id for r in result.sim.hop_log if r.packet_id == last_pid] + [3]
+    hop_records = result.sim.records("hop")
+    last_pid = max(pid for _t, pid, _from, to in hop_records if to == 3)
+    hops = [frm for _t, pid, frm, _to in hop_records if pid == last_pid] + [3]
     print(f"  last packet's path 4->3: {hops}\n")

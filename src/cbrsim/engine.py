@@ -1,5 +1,5 @@
 """Deterministic discrete-event core: clock, event queue, seeded randomness,
-and idealized unit-disk broadcast/unicast delivery.
+idealized unit-disk broadcast/unicast delivery, and an opt-in record stream.
 
 A single run is strictly single-threaded. All randomness flows through named
 sub-streams of one seed, so identical (config, seed) gives an identical event
@@ -15,7 +15,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .config import ScenarioConfig
 from .geometry import distance
-from .messages import DataPacket
 from .metrics import RunMetrics
 
 ROLE_UNDECIDED = "undecided"
@@ -47,15 +46,6 @@ class RngStreams:
             setattr(self, name, random.Random(f"{seed}:{name}"))
 
 
-@dataclass
-class HopRecord:
-    """One successful data-packet hop."""
-    time: float
-    packet_id: int
-    from_id: int
-    to_id: int
-
-
 class Simulator:
     def __init__(self, config: ScenarioConfig):
         config.validate()
@@ -68,12 +58,9 @@ class Simulator:
         self.metrics = RunMetrics()
         self._outstanding: Set[int] = set()
         self._packet_counter = 0
-        # Trace logs consumed by invariant checks and tests.
-        self.hop_log: List[HopRecord] = []
-        self.path_log: List[Tuple[int, ...]] = []
-        self.election_log: List[Tuple[float, int, float, Tuple[float, ...]]] = []
-        self.join_log: List[Tuple[float, int, int, Optional[float]]] = []
-        self.undecided_transitions: List[Tuple[float, int]] = []
+        # Opt-in record stream: set to [] before running to collect
+        # (time, kind, *fields) tuples; None records nothing.
+        self.trace: Optional[List[tuple]] = None
         self._nbr_cache: Dict[int, Tuple[int, ...]] = {}
 
     # -- event queue -------------------------------------------------------
@@ -95,6 +82,18 @@ class Simulator:
             event.fn()
         self.now = max(self.now, t_end)
         return self.metrics
+
+    # -- trace stream ------------------------------------------------------
+
+    def record(self, kind: str, *fields) -> None:
+        if self.trace is not None:
+            self.trace.append((self.now, kind, *fields))
+
+    def records(self, kind: str) -> List[tuple]:
+        """(time, *fields) of every record of one kind, in order."""
+        if self.trace is None:
+            raise RuntimeError("trace stream is off: set sim.trace = [] before running")
+        return [(t, *fields) for t, k, *fields in self.trace if k == kind]
 
     # -- radio -------------------------------------------------------------
 
@@ -147,8 +146,6 @@ class Simulator:
         ok = (target is not None and target.alive
               and distance(sender.pos, target.pos) <= self.config.tx_range_m)
         if ok:
-            if isinstance(message, DataPacket):
-                self.hop_log.append(HopRecord(self.now, message.packet_id, sender_id, next_hop))
             self._schedule_delivery(sender_id, next_hop, message, self.config.propagation_delay_s)
         self._after_transmit(sender)
         return ok

@@ -17,19 +17,16 @@ CSV_COLUMNS = ("node_count", "mode", "seed", "pdr", "sent", "delivered",
                "drop_dead_sender", "reformations", "head_changes", "row_type")
 
 
-def run_scenario(config: ScenarioConfig) -> RunMetrics:
-    config.validate()
-    sim = build_simulation(config)
-    return sim.run_until(config.duration_s)
-
-
 def run_scenario_sim(config: ScenarioConfig) -> Simulator:
-    """Like run_scenario but returns the whole simulator (for snapshots and
-    trace inspection)."""
-    config.validate()
+    """Build and run one scenario; returns the whole simulator (for
+    snapshots and state inspection)."""
     sim = build_simulation(config)
     sim.run_until(config.duration_s)
     return sim
+
+
+def run_scenario(config: ScenarioConfig) -> RunMetrics:
+    return run_scenario_sim(config).metrics
 
 
 @dataclass

@@ -15,7 +15,6 @@ class MobilityState:
     speed: float                 # m/s, fixed per scenario
     pause_remaining: float = 0.0
     total_distance: float = 0.0  # accumulator for the running average speed
-    total_time: float = 0.0
 
 
 @dataclass
@@ -75,6 +74,5 @@ def mobility_step(pos: Position, state: MobilityState, dt: float, pause_time: fl
                            pos.y + (state.waypoint.y - pos.y) * frac)
             moved = step
     state.total_distance += moved
-    state.total_time += dt
     return pos, state
 

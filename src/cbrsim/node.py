@@ -266,7 +266,7 @@ class Node:
         self.role = ROLE_MEMBER
         self.head_id = entry.node_id
         self.cluster_secondary = entry.secondary_id
-        self.sim.join_log.append((self.sim.now, self.node_id, entry.node_id, entry.weight))
+        self.sim.record("join", self.node_id, entry.node_id, entry.weight)
         if was_undecided and self._undecided_timer is not None:
             self._undecided_timer.cancel()
             self._undecided_timer = None
@@ -309,10 +309,10 @@ class Node:
         self.my_secondary = None
         self._ch_since = self.sim.now
         self.sim.metrics.head_changes += 1
-        self.sim.election_log.append(
-            (self.sim.now, self.node_id,
-             self.weight_now() if self.mode == "ecbrp" else float(self.node_id),
-             contested_weights))
+        if self.sim.trace is not None:  # the weight is computed for the record only
+            self.sim.record("election", self.node_id,
+                            self.weight_now() if self.mode == "ecbrp" else float(self.node_id),
+                            contested_weights)
         self.send_hello()
 
     # -- secondary head (ECBRP) -------------------------------------------
@@ -383,7 +383,6 @@ class Node:
         self.cluster_secondary = None
         if was_decided:
             self.sim.metrics.cluster_reformations += 1
-            self.sim.undecided_transitions.append((self.sim.now, self.node_id))
         self._restart_undecided_timer()
 
     # -- death -------------------------------------------------------------

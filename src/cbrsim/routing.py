@@ -125,13 +125,13 @@ def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
     state.seen_rreq.add(rreq.request_id)
     if node.node_id == rreq.dest_id:
         full = rreq.recorded_path + [node.node_id]
-        sim.path_log.append(tuple(full))
+        sim.record("path", tuple(full))
         _start_rrep(sim, node, rreq.request_id, full)
         return
     if node.node_id in rreq.recorded_path:
         return  # loop: a copy already passed through here
     path = rreq.recorded_path + [node.node_id]
-    sim.path_log.append(tuple(path))
+    sim.record("path", tuple(path))
     if sim.config.route_cache:
         suffix = state.cached_suffix.get(rreq.dest_id)
         if suffix is not None and not set(suffix[1:]) & set(path):
@@ -197,18 +197,19 @@ def forward_data(sim: Simulator, node, packet: DataPacket) -> None:
     if i >= len(route) or route[i] != node.node_id or i + 1 >= len(route):
         sim.account_dropped(packet.packet_id, "route-error")
         return
-    next_hop = route[i + 1]
-    packet.cursor = i + 1
-    if not sim.unicast(node.node_id, next_hop, packet):
-        packet.cursor = i
-        recover_route(sim, node, packet, next_hop)
+    _send_hop(sim, node, packet)
 
 
-def _retry_hop(sim: Simulator, node, packet: DataPacket, tried: Set[int]) -> None:
+def _send_hop(sim: Simulator, node, packet: DataPacket,
+              tried: Optional[Set[int]] = None) -> None:
+    """Unicast the packet to the next hop on its route; a failed hop goes to
+    recovery with the hops already tried."""
     i = packet.cursor
     next_hop = packet.route[i + 1]
     packet.cursor = i + 1
-    if not sim.unicast(node.node_id, next_hop, packet):
+    if sim.unicast(node.node_id, next_hop, packet):
+        sim.record("hop", packet.packet_id, node.node_id, next_hop)
+    else:
         packet.cursor = i
         recover_route(sim, node, packet, next_hop, tried)
 
@@ -230,14 +231,14 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
         if (substitute is not None and substitute not in route
                 and substitute not in tried and _usable_neighbor(node, substitute)):
             route[i + 1] = substitute
-            _retry_hop(sim, node, packet, tried)
+            _send_hop(sim, node, packet, tried)
             return
 
     if after is not None:
         patch = _salvage_candidate(node, route, after, tried)
         if patch is not None:
             route[i + 1] = patch
-            _retry_hop(sim, node, packet, tried)
+            _send_hop(sim, node, packet, tried)
             return
 
     sim.account_dropped(packet.packet_id, "route-error")

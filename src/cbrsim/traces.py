@@ -52,12 +52,13 @@ def run_failover_trace(mode: str, duration_s: float = 20.0) -> FailoverResult:
     config = failover_config(mode, duration_s)
     sim = build_simulation(config, positions=dict(FAILOVER_POSITIONS),
                            flow_pairs=[FAILOVER_FLOW])
+    sim.trace = []
     sim.force_kill(0, FAILOVER_KILL_TIME)
     sim.run_until(config.duration_s)
-    source, dest = FAILOVER_FLOW
+    dest = FAILOVER_FLOW[1]
     after_kill = {
-        rec.packet_id for rec in sim.hop_log
-        if rec.time >= FAILOVER_KILL_TIME and rec.to_id == dest
+        packet_id for t, packet_id, _from, to in sim.records("hop")
+        if t >= FAILOVER_KILL_TIME and to == dest
     }
     return FailoverResult(mode, sim.metrics, sim, len(after_kill))
 

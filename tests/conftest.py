@@ -21,15 +21,21 @@ def static_config(mode="ecbrp", **overrides) -> ScenarioConfig:
 
 
 def static_sim(positions, mode="ecbrp", flow_pairs=None, **overrides) -> Simulator:
-    """Build a ready-to-run simulation from scripted {id: (x, y)} positions."""
+    """Build a ready-to-run simulation from scripted {id: (x, y)} positions,
+    with the trace stream on."""
     pos = {i: Position(x, y) for i, (x, y) in positions.items()}
     config = static_config(mode, node_count=len(pos), **overrides)
-    return build_simulation(config, positions=pos, flow_pairs=flow_pairs or [])
+    sim = build_simulation(config, positions=pos, flow_pairs=flow_pairs or [])
+    sim.trace = []
+    return sim
 
 
 def bare_sim(mode="ecbrp", **overrides) -> Simulator:
-    """A simulator with no nodes and no scheduled events."""
-    return Simulator(static_config(mode, **overrides))
+    """A simulator with no nodes and no scheduled events, with the trace
+    stream on."""
+    sim = Simulator(static_config(mode, **overrides))
+    sim.trace = []
+    return sim
 
 
 def add_node(sim, node_id, x, y, energy=None) -> Node:
@@ -50,8 +56,17 @@ def assert_conserved(sim):
     assert m.in_flight >= 0
 
 
+def recorded_paths(sim):
+    return [path for _t, path in sim.records("path")]
+
+
+def hops(sim):
+    """(from_id, to_id) of every recorded data hop, in order."""
+    return [(from_id, to_id) for _t, _pid, from_id, to_id in sim.records("hop")]
+
+
 def assert_loop_free(sim):
-    for path in sim.path_log:
+    for path in recorded_paths(sim):
         assert len(set(path)) == len(path), f"duplicate id in recorded path {path}"
     for dup in (r for n in sim.nodes.values()
                 for r in n.routing.routes.values() if len(set(r)) != len(r)):

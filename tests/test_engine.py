@@ -187,3 +187,28 @@ def test_unknown_drop_cause_rejected():
     sim.register_packet(pid)
     with pytest.raises(KeyError):
         sim.account_dropped(pid, "gremlins")
+
+
+# -- trace stream -----------------------------------------------------------
+
+def test_trace_stream_is_off_by_default():
+    sim = build_simulation(static_config(node_count=3))
+    assert sim.trace is None
+    sim.run_until(5.0)
+    assert sim.trace is None
+
+
+def test_records_raises_when_stream_is_off():
+    sim = Simulator(static_config())
+    with pytest.raises(RuntimeError):
+        sim.records("hop")
+
+
+def test_records_select_one_kind_with_its_time():
+    sim = bare_sim()
+    sim.record("join", 3, 1, 2.5)
+    sim.schedule(1.5, "later", lambda: sim.record("hop", 7, 3, 1))
+    sim.run_until(2.0)
+    assert sim.trace == [(0.0, "join", 3, 1, 2.5), (1.5, "hop", 7, 3, 1)]
+    assert sim.records("hop") == [(1.5, 7, 3, 1)]
+    assert sim.records("election") == []

@@ -2,6 +2,7 @@
 and the command line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,14 @@ def test_cli_trace_passes(capsys):
     assert main(["trace"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert "packet=" not in out
+    assert main(["trace", "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == out.splitlines()
+    hop_lines = lines[2:]
+    assert hop_lines
+    assert all(re.fullmatch(r"  t= *\d+\.\d{3} packet=\d+ \d+->\d+", line)
+               for line in hop_lines), hop_lines[:3]
 
 
 def test_cli_config_error_exits_2(capsys):

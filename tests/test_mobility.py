@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cbrsim.geometry import Position, distance, in_range
 from cbrsim.mobility import (EnergyState, MobilityState, mobility_step, place_nodes,
                              random_waypoint)
+from cbrsim.weights import average_speed
 
 
 def in_bounds(p, width=400.0, height=400.0):
@@ -74,14 +75,12 @@ def test_arrival_snaps_to_waypoint_and_starts_pause():
 
 def test_pausing_lowers_average_speed():
     state = MobilityState(waypoint=Position(0, 0), speed=20.0,
-                          pause_remaining=50.0, total_distance=200.0,
-                          total_time=10.0)
-    before = state.total_distance / state.total_time
+                          pause_remaining=50.0, total_distance=200.0)
+    before = average_speed(state.total_distance, 10.0)
     pos, state = mobility_step(Position(0, 0), state, 1.0, 100.0, 400, 400,
                                random.Random(1))
     assert state.total_distance == 200.0        # stationary: zero distance added
-    assert state.total_time == 11.0
-    assert state.total_distance / state.total_time < before
+    assert average_speed(state.total_distance, 11.0) < before
 
 
 def test_pause_expiry_draws_fresh_waypoint():

@@ -7,7 +7,8 @@ from cbrsim.geometry import Position
 from cbrsim.messages import RouteReply, RouteRequest
 from cbrsim.node import NeighborEntry
 
-from conftest import add_node, assert_conserved, assert_loop_free, bare_sim, static_sim
+from conftest import (add_node, assert_conserved, assert_loop_free, bare_sim, hops,
+                      recorded_paths, static_sim)
 
 
 def entry(sim, node_id, role, cluster, x, y, one_hop=()):
@@ -48,16 +49,16 @@ def test_duplicate_request_suppressed():
     node = add_node(sim, 1, 0.0, 0.0)
     rreq = RouteRequest((9, 0, 0), 9, 5, [9])
     routing.handle_rreq(sim, node, rreq)
-    logged = len(sim.path_log)
+    logged = len(recorded_paths(sim))
     routing.handle_rreq(sim, node, RouteRequest((9, 0, 0), 9, 5, [9]))
-    assert len(sim.path_log) == logged == 1
+    assert len(recorded_paths(sim)) == logged == 1
 
 
 def test_request_with_own_id_on_path_is_dropped():
     sim = bare_sim()
     node = add_node(sim, 1, 0.0, 0.0)
     routing.handle_rreq(sim, node, RouteRequest((9, 3, 0), 9, 5, [9, 1, 4]))
-    assert sim.path_log == []   # a copy already passed through node 1
+    assert recorded_paths(sim) == []   # a copy already passed through node 1
 
 
 def test_head_fanout_reaches_each_adjacent_cluster_via_its_gateway():
@@ -65,8 +66,8 @@ def test_head_fanout_reaches_each_adjacent_cluster_via_its_gateway():
     sim = static_sim({0: (0, 0), 3: (75, 0), 1: (150, 0), 4: (-75, 0), 2: (-150, 0)},
                      mode="cbrp", flow_pairs=[(0, 1)], flows=None, duration_s=20.0)
     sim.run_until(20.0)
-    assert (0, 3, 1) in sim.path_log     # copy into cluster 1 through gateway 3
-    assert (0, 4, 2) in sim.path_log     # copy into cluster 2 through gateway 4
+    assert (0, 3, 1) in recorded_paths(sim)     # copy into cluster 1 through gateway 3
+    assert (0, 4, 2) in recorded_paths(sim)     # copy into cluster 2 through gateway 4
     assert sim.metrics.packets_delivered > 0
     assert_conserved(sim)
     assert_loop_free(sim)
@@ -115,8 +116,8 @@ def test_five_hop_chain_traverses_cursor_in_order():
     assert sim.nodes[0].routing.routes[5] == [0, 1, 2, 3, 4, 5]
     assert sim.metrics.packets_delivered > 0
     delivered_hops = {}
-    for rec in sim.hop_log:
-        delivered_hops.setdefault(rec.packet_id, []).append((rec.from_id, rec.to_id))
+    for _t, packet_id, from_id, to_id in sim.records("hop"):
+        delivered_hops.setdefault(packet_id, []).append((from_id, to_id))
     full_runs = [h for h in delivered_hops.values()
                  if h == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]]
     assert full_runs
@@ -172,8 +173,7 @@ def test_secondary_substitution_repairs_dead_head_hop():
     routing.generate_packet(sim, 0, 3)
     sim.run_until(0.0)
     assert sim.metrics.packets_delivered == 1
-    hops = [(r.from_id, r.to_id) for r in sim.hop_log]
-    assert (1, 4) in hops and (4, 3) in hops
+    assert (1, 4) in hops(sim) and (4, 3) in hops(sim)
     assert_conserved(sim)
 
 
@@ -192,8 +192,7 @@ def test_salvage_used_when_secondary_unknown():
     routing.generate_packet(sim, 0, 3)
     sim.run_until(0.0)
     assert sim.metrics.packets_delivered == 1
-    hops = [(r.from_id, r.to_id) for r in sim.hop_log]
-    assert (1, 5) in hops and (5, 3) in hops
+    assert (1, 5) in hops(sim) and (5, 3) in hops(sim)
     assert_conserved(sim)
 
 
@@ -216,8 +215,7 @@ def test_salvage_uses_neighbour_ids_advertised_in_hello():
     routing.generate_packet(sim, 0, 3)
     sim.run_until(0.0)
     assert sim.metrics.packets_delivered == 1
-    hops = [(r.from_id, r.to_id) for r in sim.hop_log]
-    assert (1, 5) in hops and (5, 3) in hops
+    assert (1, 5) in hops(sim) and (5, 3) in hops(sim)
     assert_conserved(sim)
 
 
