@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .config import ConfigError, ScenarioConfig, _parse_value, load_config_file
@@ -39,10 +40,6 @@ def _load_base_config(args) -> ScenarioConfig:
         setattr(config, key.strip(), _parse_value(key.strip(), raw))
     if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "mode", None):
-        config.protocol_mode = args.mode
-    if isinstance(getattr(args, "nodes", None), int):
-        config.node_count = args.nodes
     return config
 
 
@@ -61,6 +58,10 @@ def _metrics_dict(metrics) -> dict:
 
 def _cmd_run(args) -> int:
     config = _load_base_config(args)
+    if args.mode:
+        config.protocol_mode = args.mode
+    if args.nodes is not None:
+        config.node_count = args.nodes
     sim = run_scenario_sim(config)
     print(json.dumps(_metrics_dict(sim.metrics), indent=2))
     if args.snapshot:
@@ -70,11 +71,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # Every flag is checked before the first run starts.
     config = _load_base_config(args)
     config.validate()
-    counts = [int(x) for x in args.nodes.split(",")] if isinstance(args.nodes, str) \
-        else (args.nodes or list(range(5, 65, 5)))
-    modes = args.modes.split(",") if args.modes else ["cbrp", "ecbrp"]
+    counts = list(range(5, 65, 5))
+    if args.nodes is not None:
+        try:
+            counts = [int(x) for x in args.nodes.split(",")]
+        except ValueError:
+            raise ConfigError(f"--nodes: expected comma-separated integers, got {args.nodes!r}")
+    for n in counts:
+        try:
+            replace(config, node_count=n).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"--nodes: {exc}")
+    modes = ["cbrp", "ecbrp"] if args.modes is None else args.modes.split(",")
+    for mode in modes:
+        if mode not in ("cbrp", "ecbrp"):
+            raise ConfigError(f"--modes: expected cbrp and/or ecbrp, got {mode!r}")
+    if args.replicates < 1:
+        raise ConfigError(f"--replicates: must be >= 1, got {args.replicates}")
     result = sweep(counts, modes, args.replicates, config)
     if args.out:
         write_sweep_csv(result, args.out)

@@ -83,7 +83,8 @@ class ScenarioConfig:
         if self.node_count < 1:
             raise ConfigError(f"node_count: must be >= 1, got {self.node_count}")
         for key in ("area_width_m", "area_height_m", "tx_range_m", "hello_interval_s",
-                    "mobility_tick_s", "transmit_cost", "initial_energy"):
+                    "mobility_tick_s", "transmit_cost", "initial_energy",
+                    "stale_timeout_intervals", "undecided_timer_intervals"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key}: must be positive, got {getattr(self, key)}")
         for key in ("duration_s", "node_speed_mps", "pause_time_s", "w1", "w2", "w3", "w4",

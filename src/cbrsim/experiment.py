@@ -12,9 +12,21 @@ from .engine import Simulator
 from .metrics import RunMetrics, pdr
 from .scenario import build_simulation
 
-CSV_COLUMNS = ("node_count", "mode", "seed", "pdr", "sent", "delivered",
-               "drop_no_route", "drop_route_error", "drop_dead_forwarder",
-               "drop_dead_sender", "reformations", "head_changes", "row_type")
+# The per-run counters of a CSV row: a run row prints each as is, a mean
+# row prints its mean over the cell's runs.
+_COUNTER_COLUMNS = (
+    ("sent", lambda m: m.packets_sent),
+    ("delivered", lambda m: m.packets_delivered),
+    ("drop_no_route", lambda m: m.dropped["no-route"]),
+    ("drop_route_error", lambda m: m.dropped["route-error"]),
+    ("drop_dead_forwarder", lambda m: m.dropped["dead-forwarder"]),
+    ("drop_dead_sender", lambda m: m.dropped["dead-sender"]),
+    ("reformations", lambda m: m.cluster_reformations),
+    ("head_changes", lambda m: m.head_changes),
+)
+
+CSV_COLUMNS = ("node_count", "mode", "seed", "pdr",
+               *(name for name, _ in _COUNTER_COLUMNS), "row_type")
 
 
 def run_scenario_sim(config: ScenarioConfig) -> Simulator:
@@ -90,25 +102,12 @@ def sweep_to_csv(result: SweepResult) -> str:
     writer.writerow(CSV_COLUMNS)
     for (n, mode), cell in result.cells.items():
         for seed, m in zip(cell.seeds, cell.metrics):
-            writer.writerow([n, mode, seed, _fmt_pdr(pdr(m)), m.packets_sent,
-                             m.packets_delivered, m.dropped["no-route"],
-                             m.dropped["route-error"], m.dropped["dead-forwarder"],
-                             m.dropped["dead-sender"], m.cluster_reformations,
-                             m.head_changes, "run"])
-        totals = cell.metrics
-
-        def mean(getter) -> str:
-            return f"{sum(getter(m) for m in totals) / len(totals):.3f}"
-
+            writer.writerow([n, mode, seed, _fmt_pdr(pdr(m)),
+                             *(get(m) for _, get in _COUNTER_COLUMNS), "run"])
+        runs = len(cell.metrics)
         writer.writerow([n, mode, "", _fmt_pdr(cell.mean_pdr),
-                         mean(lambda m: m.packets_sent),
-                         mean(lambda m: m.packets_delivered),
-                         mean(lambda m: m.dropped["no-route"]),
-                         mean(lambda m: m.dropped["route-error"]),
-                         mean(lambda m: m.dropped["dead-forwarder"]),
-                         mean(lambda m: m.dropped["dead-sender"]),
-                         mean(lambda m: m.cluster_reformations),
-                         mean(lambda m: m.head_changes), "mean"])
+                         *(f"{sum(get(m) for m in cell.metrics) / runs:.3f}"
+                           for _, get in _COUNTER_COLUMNS), "mean"])
     return out.getvalue()
 
 

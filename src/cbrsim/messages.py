@@ -28,7 +28,6 @@ class SecondaryAnnounce:
 @dataclass
 class RouteRequest:
     request_id: Tuple[int, int, int]   # (source, sequence, retry)
-    source_id: int
     dest_id: int
     recorded_path: List[int]
 
@@ -38,11 +37,6 @@ class RouteReply:
     request_id: Tuple[int, int, int]
     full_path: List[int]
     cursor: int                        # index of current holder in reversed travel
-
-
-@dataclass
-class RouteError:
-    dest_id: int
 
 
 @dataclass

@@ -76,17 +76,18 @@ class Node:
             return self.head_id
         return None
 
-    def _stale_timeout(self) -> float:
-        return self.sim.config.stale_timeout_s()
+    # The one neighbour view: every decision that depends on which neighbours
+    # a node hears right now reads one of these two.
 
     def fresh_neighbors(self) -> List[NeighborEntry]:
-        cutoff = self.sim.now - self._stale_timeout()
+        """Table entries heard within the stale timeout."""
+        cutoff = self.sim.now - self.sim.config.stale_timeout_s()
         return [e for e in self.neighbors.values() if e.last_heard >= cutoff]
 
     def current_degree_entries(self) -> List[NeighborEntry]:
+        """Fresh entries whose advertised position is within radio range."""
         rng = self.sim.config.tx_range_m
-        return [e for e in self.fresh_neighbors()
-                if e.role != ROLE_DEAD and distance(self.pos, e.pos) <= rng]
+        return [e for e in self.fresh_neighbors() if distance(self.pos, e.pos) <= rng]
 
     # -- weight ------------------------------------------------------------
 
@@ -121,11 +122,15 @@ class Node:
         self._restart_undecided_timer()
 
     def _restart_undecided_timer(self) -> None:
-        if self._undecided_timer is not None:
-            self._undecided_timer.cancel()
+        self._cancel_undecided_timer()
         self._undecided_timer = self.sim.schedule(
             self.sim.now + self.sim.config.undecided_timer_s(),
             "undecided-timeout", self.on_undecided_timeout)
+
+    def _cancel_undecided_timer(self) -> None:
+        if self._undecided_timer is not None:
+            self._undecided_timer.cancel()
+            self._undecided_timer = None
 
     def hello_tick(self) -> None:
         if not self.alive:
@@ -240,10 +245,8 @@ class Node:
             self.revert_undecided()
 
     def _best_head_entry(self, exclude: Optional[int] = None) -> Optional[NeighborEntry]:
-        rng = self.sim.config.tx_range_m
-        candidates = [e for e in self.fresh_neighbors()
-                      if e.role == ROLE_HEAD and e.node_id != exclude
-                      and distance(self.pos, e.pos) <= rng]
+        candidates = [e for e in self.current_degree_entries()
+                      if e.role == ROLE_HEAD and e.node_id != exclude]
         if not candidates:
             return None
         if self.mode == "ecbrp":
@@ -267,9 +270,8 @@ class Node:
         self.head_id = entry.node_id
         self.cluster_secondary = entry.secondary_id
         self.sim.record("join", self.node_id, entry.node_id, entry.weight)
-        if was_undecided and self._undecided_timer is not None:
-            self._undecided_timer.cancel()
-            self._undecided_timer = None
+        if was_undecided:
+            self._cancel_undecided_timer()
 
     # -- election ----------------------------------------------------------
 
@@ -299,9 +301,7 @@ class Node:
             self.become_head(beaten_weights)
 
     def become_head(self, contested_weights: Tuple[float, ...] = ()) -> None:
-        if self._undecided_timer is not None:
-            self._undecided_timer.cancel()
-            self._undecided_timer = None
+        self._cancel_undecided_timer()
         self.role = ROLE_HEAD
         self.head_id = self.node_id
         self.cluster_secondary = None
@@ -325,9 +325,7 @@ class Node:
     def _reelect_secondary(self) -> None:
         if self.mode != "ecbrp" or self.role != ROLE_HEAD:
             return
-        cutoff = self.sim.now - self._stale_timeout()
-        candidates = [self.neighbors[m] for m in self.member_ids
-                      if m in self.neighbors and self.neighbors[m].last_heard >= cutoff]
+        candidates = [e for e in self.fresh_neighbors() if e.node_id in self.member_ids]
         if not candidates:
             if self.my_secondary is not None:
                 self.my_secondary = None
@@ -346,7 +344,7 @@ class Node:
     def table_maintenance(self) -> None:
         if not self.alive:
             return
-        cutoff = self.sim.now - self._stale_timeout()
+        cutoff = self.sim.now - self.sim.config.stale_timeout_s()
         expired = [nid for nid, e in self.neighbors.items() if e.last_heard < cutoff]
         for nid in expired:
             del self.neighbors[nid]
@@ -367,11 +365,9 @@ class Node:
                 self.become_head()
                 return
             if secondary is not None and secondary in self.neighbors:
-                entry = self.neighbors[secondary]
-                if entry.role != ROLE_DEAD:
-                    self.head_id = secondary
-                    self.cluster_secondary = None
-                    return
+                self.head_id = secondary
+                self.cluster_secondary = None
+                return
         self.revert_undecided()
 
     def revert_undecided(self) -> None:
@@ -388,13 +384,9 @@ class Node:
     # -- death -------------------------------------------------------------
 
     def on_death(self) -> None:
-        if self._ch_since is not None:
-            self.ch_accum_s += self.sim.now - self._ch_since
-            self._ch_since = None
+        self._stop_heading()
         self.role = ROLE_DEAD
         if self._hello_timer is not None:
             self._hello_timer.cancel()
             self._hello_timer = None
-        if self._undecided_timer is not None:
-            self._undecided_timer.cancel()
-            self._undecided_timer = None
+        self._cancel_undecided_timer()

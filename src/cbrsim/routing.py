@@ -8,9 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
-from .geometry import distance
-from .messages import DataPacket, RouteError, RouteReply, RouteRequest
+from .engine import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
+from .messages import DataPacket, RouteReply, RouteRequest
 
 
 @dataclass
@@ -79,7 +78,7 @@ def _send_rreq(sim: Simulator, node, pending: _Pending) -> None:
     state = node.routing
     rid = (node.node_id, pending.seq, pending.retry)
     state.seen_rreq.add(rid)
-    rreq = RouteRequest(rid, node.node_id, pending.dest_id, [node.node_id])
+    rreq = RouteRequest(rid, pending.dest_id, [node.node_id])
     sim.broadcast(node.node_id, rreq)
 
     def on_timeout():
@@ -107,10 +106,7 @@ def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
         return True
     if node.role != ROLE_MEMBER:
         return False
-    cutoff = node.sim.now - node.sim.config.stale_timeout_s()
-    for entry in node.neighbors.values():
-        if entry.last_heard < cutoff or entry.role == ROLE_DEAD:
-            continue
+    for entry in node.fresh_neighbors():
         if entry.node_id == dest_id:
             return True
         if entry.cluster_id is not None and entry.cluster_id not in recorded_path:
@@ -139,15 +135,14 @@ def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
             return
     if not _should_relay(node, rreq.recorded_path, rreq.dest_id):
         return
-    sim.broadcast(node.node_id,
-                  RouteRequest(rreq.request_id, rreq.source_id, rreq.dest_id, path))
+    sim.broadcast(node.node_id, RouteRequest(rreq.request_id, rreq.dest_id, path))
 
 
 def _start_rrep(sim: Simulator, node, request_id, full_path: List[int]) -> None:
     if len(full_path) < 2:
         return
     cursor = len(full_path) - 2
-    sim.unicast(node.node_id, full_path[cursor], RouteReply(request_id, list(full_path), cursor))
+    sim.unicast(node.node_id, full_path[cursor], RouteReply(request_id, full_path, cursor))
 
 
 def handle_rrep(sim: Simulator, node, rrep: RouteReply) -> None:
@@ -158,9 +153,9 @@ def handle_rrep(sim: Simulator, node, rrep: RouteReply) -> None:
         _establish_route(sim, node, rrep)
         return
     if sim.config.route_cache:
-        node.routing.cached_suffix[rrep.full_path[-1]] = list(rrep.full_path[i:])
-    sim.unicast(node.node_id, rrep.full_path[i - 1],
-                RouteReply(rrep.request_id, list(rrep.full_path), i - 1))
+        node.routing.cached_suffix[rrep.full_path[-1]] = rrep.full_path[i:]
+    rrep.cursor = i - 1
+    sim.unicast(node.node_id, rrep.full_path[i - 1], rrep)
 
 
 def _establish_route(sim: Simulator, node, rrep: RouteReply) -> None:
@@ -229,7 +224,8 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
     if sim.config.protocol_mode == "ecbrp" and failed_next != packet.dest_id:
         substitute = _secondary_for(node, failed_next)
         if (substitute is not None and substitute not in route
-                and substitute not in tried and _usable_neighbor(node, substitute)):
+                and substitute not in tried
+                and any(e.node_id == substitute for e in node.fresh_neighbors())):
             route[i + 1] = substitute
             _send_hop(sim, node, packet, tried)
             return
@@ -252,37 +248,26 @@ def _secondary_for(node, failed_id: int) -> Optional[int]:
     return node.known_secondaries.get(failed_id)
 
 
-def _usable_neighbor(node, candidate: int) -> bool:
-    cutoff = node.sim.now - node.sim.config.stale_timeout_s()
-    entry = node.neighbors.get(candidate)
-    return entry is not None and entry.last_heard >= cutoff and entry.role != ROLE_DEAD
-
-
 def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> Optional[int]:
     """Two-hop patch: a current neighbor that itself reported hearing the hop
     after the broken one."""
-    cutoff = node.sim.now - node.sim.config.stale_timeout_s()
-    rng = node.sim.config.tx_range_m
-    candidates = [e.node_id for e in node.neighbors.values()
-                  if e.last_heard >= cutoff and e.role != ROLE_DEAD
-                  and e.node_id not in route and e.node_id not in tried
-                  and after in e.one_hop
-                  and distance(node.pos, e.pos) <= rng]
+    candidates = [e.node_id for e in node.current_degree_entries()
+                  if e.node_id not in route and e.node_id not in tried
+                  and after in e.one_hop]
     return min(candidates) if candidates else None
 
 
 def _report_route_error(sim: Simulator, packet: DataPacket) -> None:
     # Control-plane shortcut: the notice reaches the source directly. The
     # data packet itself was already dropped at the detector.
-    notice = RouteError(packet.dest_id)
-    source_id = packet.source_id
+    source_id, dest_id = packet.source_id, packet.dest_id
 
     def deliver():
         source = sim.nodes.get(source_id)
         if source is not None and source.alive:
-            handle_rerr(sim, source, notice)
+            handle_rerr(sim, source, dest_id)
     sim.schedule(sim.now, "route-error", deliver)
 
 
-def handle_rerr(sim: Simulator, node, notice: RouteError) -> None:
-    node.routing.routes.pop(notice.dest_id, None)
+def handle_rerr(sim: Simulator, node, dest_id: int) -> None:
+    node.routing.routes.pop(dest_id, None)

@@ -1,11 +1,12 @@
 """Cluster formation: elections, joins, head contention, secondary heads,
 failover, and neighbor-table maintenance."""
 
-from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED
+from cbrsim import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED
 from cbrsim.geometry import Position
 from cbrsim.messages import Hello
-from cbrsim.node import NeighborEntry
+from cbrsim.node import NeighborEntry, Node
 from cbrsim.scenario import build_simulation
+from cbrsim.traces import stress_config
 
 from conftest import add_node, bare_sim, static_config, static_sim
 
@@ -273,3 +274,23 @@ def test_timer_expirations_are_seed_deterministic():
     b.run_until(config.duration_s)
     assert a.records("election") and a.records("join")
     assert a.trace == b.trace
+
+
+def test_no_hello_carries_the_dead_role(monkeypatch):
+    # Heads die over and over in the stress regime, yet no neighbour-table
+    # entry can hold the dead role: a HELLO copies its sender's live role, and
+    # a dead sender broadcasts nothing. A dead neighbour leaves by going stale.
+    received = []
+    original = Node.on_hello
+
+    def checked(self, hello, sender_id):
+        assert hello.sender_role != ROLE_DEAD
+        received.append(sender_id)
+        original(self, hello, sender_id)
+
+    monkeypatch.setattr(Node, "on_hello", checked)
+    config = stress_config("ecbrp", 1)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    assert received
+    assert sum(not n.alive for n in sim.nodes.values()) > 0

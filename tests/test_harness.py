@@ -114,6 +114,19 @@ def test_repeated_sweep_is_byte_identical():
     assert a == b
 
 
+def test_tiny_sweep_csv_text_is_pinned():
+    result = sweep([3], ["cbrp", "ecbrp"], 2, ScenarioConfig(duration_s=20.0))
+    assert sweep_to_csv(result) == (
+        "node_count,mode,seed,pdr,sent,delivered,drop_no_route,drop_route_error,"
+        "drop_dead_forwarder,drop_dead_sender,reformations,head_changes,row_type\n"
+        "3,cbrp,1,0.131148,61,8,48,1,0,0,1,2,run\n"
+        "3,cbrp,2,0.196721,61,12,24,1,0,0,1,1,run\n"
+        "3,cbrp,,0.163934,61.000,10.000,36.000,1.000,0.000,0.000,1.000,1.500,mean\n"
+        "3,ecbrp,1,0.131148,61,8,48,1,0,0,1,2,run\n"
+        "3,ecbrp,2,0.196721,61,12,24,1,0,0,0,3,run\n"
+        "3,ecbrp,,0.163934,61.000,10.000,36.000,1.000,0.000,0.000,0.500,2.500,mean\n")
+
+
 def test_write_sweep_csv_round_trip(tmp_path):
     result = sweep([5], ["ecbrp"], 1, tiny_config(duration_s=2.0))
     path = tmp_path / "out.csv"
@@ -255,6 +268,30 @@ def test_cli_unparsable_flows_exits_2(tmp_path, capsys):
 def test_cli_non_finite_number_exits_2(value, capsys):
     assert main(["run", "--set", f"duration_s={value}"]) == 2
     assert "duration_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["stale_timeout_intervals", "undecided_timer_intervals"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_validation_rejects_non_positive_timer_intervals(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig(**{key: value}).validate()
+
+
+def test_cli_zero_undecided_timer_exits_2(capsys):
+    # An isolated undecided node would re-arm its timer at now + 0 forever.
+    assert main(["run", "--set", "undecided_timer_intervals=0"]) == 2
+    assert "undecided_timer_intervals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--nodes", "5,abc"), ("--nodes", ","),
+                                         ("--nodes", "1"), ("--modes", "cbrp,foo"),
+                                         ("--replicates", "0"), ("--replicates", "-1")])
+def test_cli_sweep_bad_flag_exits_2_before_any_run(flag, value, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a sweep started before its flags were checked")
+    monkeypatch.setattr("cbrsim.cli.sweep", no_run)
+    assert main(["sweep", flag, value]) == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--config", "x.conf"], ["--seed", "3"],

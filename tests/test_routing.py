@@ -1,6 +1,8 @@
 """Route discovery, replies, retries, data forwarding, and the two
 error-recovery policies."""
 
+import pytest
+
 from cbrsim import ROLE_HEAD, ROLE_MEMBER
 from cbrsim import routing
 from cbrsim.geometry import Position
@@ -47,17 +49,17 @@ def test_partitioned_destination_gives_up_with_no_route():
 def test_duplicate_request_suppressed():
     sim = bare_sim()
     node = add_node(sim, 1, 0.0, 0.0)
-    rreq = RouteRequest((9, 0, 0), 9, 5, [9])
+    rreq = RouteRequest((9, 0, 0), 5, [9])
     routing.handle_rreq(sim, node, rreq)
     logged = len(recorded_paths(sim))
-    routing.handle_rreq(sim, node, RouteRequest((9, 0, 0), 9, 5, [9]))
+    routing.handle_rreq(sim, node, RouteRequest((9, 0, 0), 5, [9]))
     assert len(recorded_paths(sim)) == logged == 1
 
 
 def test_request_with_own_id_on_path_is_dropped():
     sim = bare_sim()
     node = add_node(sim, 1, 0.0, 0.0)
-    routing.handle_rreq(sim, node, RouteRequest((9, 3, 0), 9, 5, [9, 1, 4]))
+    routing.handle_rreq(sim, node, RouteRequest((9, 3, 0), 5, [9, 1, 4]))
     assert recorded_paths(sim) == []   # a copy already passed through node 1
 
 
@@ -228,3 +230,77 @@ def test_route_cache_answers_from_intermediate():
     assert sim.nodes[0].routing.cached_suffix.get(2) == [0, 2]
     assert_conserved(sim)
     assert_loop_free(sim)
+
+
+# -- the neighbour view -------------------------------------------------------
+# Relaying, salvage and secondary substitution count only fresh table entries,
+# even before a maintenance pass has pruned the stale ones; salvage also
+# needs the patch's advertised position in range.
+
+STALE = 10.0   # seconds since last heard; the stale timeout is 3 HELLO intervals
+
+
+@pytest.mark.parametrize("age, relays", [(0.0, True), (STALE, False)])
+def test_member_relays_only_for_a_fresh_neighbour(age, relays):
+    sim = bare_sim()
+    sim.run_until(STALE)
+    gateway = add_node(sim, 1, 0.0, 0.0)
+    add_node(sim, 2, 40.0, 0.0)
+    gateway.role = ROLE_MEMBER
+    gateway.head_id = 9          # already on the recorded path
+    foreign = entry(sim, 7, ROLE_HEAD, 7, 0.0, 40.0)
+    foreign.last_heard = sim.now - age
+    gateway.neighbors[7] = foreign
+    routing.handle_rreq(sim, gateway, RouteRequest((9, 0, 0), 5, [9]))
+    sim.run_until(sim.now)
+    assert ((9, 1, 2) in recorded_paths(sim)) == relays
+
+
+def _broken_route_sim():
+    """Route [0, 1, 2, 3] with node 2 dead: node 1 must repair the hop to 3."""
+    sim = bare_sim(mode="ecbrp")
+    sim.run_until(STALE)
+    source = add_node(sim, 0, 0.0, 0.0)
+    gateway = add_node(sim, 1, 70.0, 0.0)
+    add_node(sim, 2, 140.0, 0.0).role = "dead"
+    add_node(sim, 3, 160.0, 20.0)
+    add_node(sim, 4, 140.0, 25.0)
+    add_node(sim, 5, 100.0, 30.0)
+    source.routing.routes[3] = [0, 1, 2, 3]
+    return sim, gateway
+
+
+def _send_one_packet(sim):
+    routing.generate_packet(sim, 0, 3)
+    sim.run_until(sim.now)
+    assert_conserved(sim)
+
+
+def test_secondary_substitution_ignores_a_stale_secondary():
+    sim, gateway = _broken_route_sim()
+    secondary = entry(sim, 4, ROLE_MEMBER, 2, 140.0, 25.0)
+    secondary.last_heard = sim.now - STALE
+    gateway.neighbors[4] = secondary
+    gateway.known_secondaries[2] = 4
+    _send_one_packet(sim)
+    assert sim.metrics.dropped["route-error"] == 1
+    assert (1, 4) not in hops(sim)
+
+
+def test_salvage_ignores_a_stale_neighbour():
+    sim, gateway = _broken_route_sim()
+    patch = entry(sim, 5, ROLE_MEMBER, None, 100.0, 30.0, one_hop=(3,))
+    patch.last_heard = sim.now - STALE
+    gateway.neighbors[5] = patch
+    _send_one_packet(sim)
+    assert sim.metrics.dropped["route-error"] == 1
+    assert (1, 5) not in hops(sim)
+
+
+def test_salvage_ignores_a_neighbour_advertised_out_of_range():
+    # Node 5 is really in range, but its last HELLO placed it far away.
+    sim, gateway = _broken_route_sim()
+    gateway.neighbors[5] = entry(sim, 5, ROLE_MEMBER, None, 300.0, 300.0, one_hop=(3,))
+    _send_one_packet(sim)
+    assert sim.metrics.dropped["route-error"] == 1
+    assert (1, 5) not in hops(sim)
