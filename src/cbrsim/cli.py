@@ -89,6 +89,9 @@ def _cmd_sweep(args) -> int:
     for mode in modes:
         if mode not in ("cbrp", "ecbrp"):
             raise ConfigError(f"--modes: expected cbrp and/or ecbrp, got {mode!r}")
+    for flag, values in (("--nodes", counts), ("--modes", modes)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{flag}: each value may appear once, got {','.join(map(str, values))}")
     if args.replicates < 1:
         raise ConfigError(f"--replicates: must be >= 1, got {args.replicates}")
     result = sweep(counts, modes, args.replicates, config)

@@ -4,14 +4,20 @@ idealized unit-disk broadcast/unicast delivery, and an opt-in record stream.
 A single run is strictly single-threaded. All randomness flows through named
 sub-streams of one seed, so identical (config, seed) gives an identical event
 trace and identical metrics.
+
+The queue is a heap of (fire_time, seq, Event) tuples; seq is unique, so ties
+in time fire in scheduling order and two Events are never compared. One
+transmission is one "deliver" event that hands the message to its receivers
+in order. The neighbour query reads a uniform grid of alive nodes, rebuilt
+lazily after each invalidate_neighbors().
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .config import ScenarioConfig
 from .geometry import distance
@@ -23,13 +29,15 @@ ROLE_MEMBER = "member"
 ROLE_DEAD = "dead"
 
 
-@dataclass(order=True)
 class Event:
-    fire_time: float
-    seq: int
-    kind: str = field(compare=False)
-    fn: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A scheduled callback; the holder may cancel() it before it fires."""
+
+    __slots__ = ("kind", "fn", "cancelled")
+
+    def __init__(self, kind: str, fn: Callable[[], None]):
+        self.kind = kind
+        self.fn = fn
+        self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -51,7 +59,7 @@ class Simulator:
         config.validate()
         self.config = config
         self.now = 0.0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self.rng = RngStreams(config.seed)
         self.nodes: Dict[int, "object"] = {}  # id -> Node, filled by the scenario builder
@@ -62,23 +70,32 @@ class Simulator:
         # (time, kind, *fields) tuples; None records nothing.
         self.trace: Optional[List[tuple]] = None
         self._nbr_cache: Dict[int, Tuple[int, ...]] = {}
+        # cell -> [(insertion rank, node id, x, y)] of alive nodes; None
+        # until the first neighbour query after invalidate_neighbors().
+        self._grid: Optional[Dict[Tuple[int, int], List[tuple]]] = None
+        # Cells a hair wider than the radio range, so that any pair the range
+        # test accepts is at most one cell apart on each axis. Exactly
+        # tx_range_m would not do: at 64 m the rounded difference
+        # 128 - 63.99999999999999 is 64.0, yet the two are two cells apart.
+        self._cell_m = config.tx_range_m * (1.0 + 1e-9)
 
     # -- event queue -------------------------------------------------------
 
     def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> Event:
         if fire_time < self.now:
             raise ValueError(f"cannot schedule {kind!r} at {fire_time} before now={self.now}")
-        event = Event(fire_time, self._seq, kind, fn)
+        event = Event(kind, fn)
+        heapq.heappush(self._queue, (fire_time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         return event
 
     def run_until(self, t_end: float) -> RunMetrics:
-        while self._queue and self._queue[0].fire_time <= t_end:
-            event = heapq.heappop(self._queue)
+        queue, pop = self._queue, heapq.heappop
+        while queue and queue[0][0] <= t_end:
+            fire_time, _, event = pop(queue)
             if event.cancelled:
                 continue
-            self.now = event.fire_time
+            self.now = fire_time
             event.fn()
         self.now = max(self.now, t_end)
         return self.metrics
@@ -98,19 +115,42 @@ class Simulator:
     # -- radio -------------------------------------------------------------
 
     def invalidate_neighbors(self) -> None:
+        """Forget neighbour results; call after any node moves, dies or joins."""
         self._nbr_cache.clear()
+        self._grid = None
+
+    def _build_grid(self) -> Dict[Tuple[int, int], List[tuple]]:
+        cell_m = self._cell_m
+        grid: Dict[Tuple[int, int], List[tuple]] = {}
+        for rank, (node_id, node) in enumerate(self.nodes.items()):
+            if node.alive:
+                x, y = node.pos.x, node.pos.y
+                grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(
+                    (rank, node_id, x, y))
+        return grid
 
     def alive_in_range(self, node_id: int) -> Tuple[int, ...]:
-        """Alive nodes within radio range of node_id (excluding itself)."""
+        """Alive nodes within radio range of node_id (excluding itself), in
+        self.nodes order, by geometry.distance's range test. Only the 3x3
+        block of grid cells around node_id's cell can hold them."""
         cached = self._nbr_cache.get(node_id)
         if cached is not None:
             return cached
-        me = self.nodes[node_id]
-        result = tuple(
-            other_id for other_id, other in self.nodes.items()
-            if other_id != node_id and other.alive
-            and distance(me.pos, other.pos) <= self.config.tx_range_m
-        )
+        grid = self._grid
+        if grid is None:
+            grid = self._grid = self._build_grid()
+        pos = self.nodes[node_id].pos
+        x, y = pos.x, pos.y
+        cx, cy = int(x // self._cell_m), int(y // self._cell_m)
+        tx_range, hypot = self.config.tx_range_m, math.hypot
+        found = []
+        for gx in (cx - 1, cx, cx + 1):
+            for gy in (cy - 1, cy, cy + 1):
+                for rank, other_id, ox, oy in grid.get((gx, gy), ()):
+                    if hypot(x - ox, y - oy) <= tx_range and other_id != node_id:
+                        found.append((rank, other_id))
+        found.sort()
+        result = tuple(other_id for _, other_id in found)
         self._nbr_cache[node_id] = result
         return result
 
@@ -130,9 +170,8 @@ class Simulator:
             return frozenset()
         self._charge_transmit(sender)
         receivers = self.alive_in_range(sender_id)
-        delay = self.config.propagation_delay_s
-        for rid in receivers:
-            self._schedule_delivery(sender_id, rid, message, delay)
+        if receivers:
+            self._schedule_delivery(sender_id, receivers, message)
         self._after_transmit(sender)
         return frozenset(receivers)
 
@@ -146,16 +185,23 @@ class Simulator:
         ok = (target is not None and target.alive
               and distance(sender.pos, target.pos) <= self.config.tx_range_m)
         if ok:
-            self._schedule_delivery(sender_id, next_hop, message, self.config.propagation_delay_s)
+            self._schedule_delivery(sender_id, (next_hop,), message)
         self._after_transmit(sender)
         return ok
 
-    def _schedule_delivery(self, sender_id: int, receiver_id: int, message, delay: float) -> None:
+    def _schedule_delivery(self, sender_id: int, receivers: Sequence[int], message) -> None:
+        """One event hands the message to every receiver still alive, in
+        order. Per-receiver events would have had contiguous seqs, and
+        anything a handler schedules gets a larger seq, so the order of
+        handling is the same."""
+        nodes = self.nodes
+
         def deliver():
-            receiver = self.nodes.get(receiver_id)
-            if receiver is not None and receiver.alive:
-                receiver.handle_message(message, sender_id)
-        self.schedule(self.now + delay, "deliver", deliver)
+            for receiver_id in receivers:
+                receiver = nodes.get(receiver_id)
+                if receiver is not None and receiver.alive:
+                    receiver.handle_message(message, sender_id)
+        self.schedule(self.now + self.config.propagation_delay_s, "deliver", deliver)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -77,6 +77,10 @@ def sweep(node_counts: Sequence[int], modes: Sequence[str], replicates: int,
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    # Cells are keyed by (node_count, mode): a repeat would overwrite a cell.
+    for name, values in (("node_counts", node_counts), ("modes", modes)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} repeats a value: {list(values)}")
     result = SweepResult()
     for n in node_counts:
         for mode in modes:

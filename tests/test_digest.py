@@ -1,5 +1,6 @@
-"""Behaviour guard: one full-size pass of each benchmark workload at seed 1
-must reproduce the digests committed in perfbench/expected_digests.json. The
+"""Behaviour guard: one full-size pass of each benchmark workload at seeds 1,
+2 and 3 must reproduce the digests committed in
+perfbench/expected_digests.json. The
 table is only read here; perfbench/refresh_digests.py regenerates it. The
 trace stream must not change behaviour either: every run of a small pass
 gives the same digest with the stream on and off."""
@@ -19,11 +20,12 @@ from workloads import WORKLOADS, run_digest, run_pass  # noqa: E402
 EXPECTED = json.loads((PERFBENCH / "expected_digests.json").read_text())
 
 
+@pytest.mark.parametrize("seed", (1, 2, 3))
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_seed_1_pass_matches_committed_digests(name):
-    result = run_pass(WORKLOADS[name], seed=1)
+def test_pass_matches_committed_digests(name, seed):
+    result = run_pass(WORKLOADS[name], seed=seed)
     assert [r.problems for r in result.runs if r.problems] == []
-    assert [r.digest for r in result.runs] == EXPECTED[name]["1"]
+    assert [r.digest for r in result.runs] == EXPECTED[name][str(seed)]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

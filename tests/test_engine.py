@@ -1,11 +1,14 @@
 """Event queue ordering, unit-disk radio, energy charging, and packet
 accounting in the simulation core."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cbrsim import ScenarioConfig, run_scenario
 from cbrsim.engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, Simulator
+from cbrsim.geometry import Position, distance
 from cbrsim.scenario import build_simulation
 
 from conftest import add_node, bare_sim, static_config
@@ -136,6 +139,142 @@ def test_unicast_to_dead_node_is_link_failure():
     before = sender.energy.remaining
     assert sim.unicast(0, 1, _Probe()) is False
     assert sender.energy.remaining == before - sim.config.transmit_cost
+
+
+# -- delivery order ---------------------------------------------------------
+
+def _log_deliveries(sim, log):
+    """Make every node append (receiver, message, sender, time) to log."""
+    for nid, node in sim.nodes.items():
+        node.handle_message = (lambda msg, sid, nid=nid:
+                               log.append((nid, msg, sid, sim.now)))
+
+
+def test_rebroadcast_at_zero_delay_waits_for_the_whole_first_batch():
+    sim = bare_sim(propagation_delay_s=0.0)
+    for nid, x in ((0, 0.0), (1, 30.0), (2, 60.0), (3, 90.0)):
+        add_node(sim, nid, x, 0.0)
+    log = []
+    _log_deliveries(sim, log)
+
+    def relay(msg, sid):
+        log.append((1, msg, sid, sim.now))
+        sim.broadcast(1, "echo")
+    sim.nodes[1].handle_message = relay
+    sim.broadcast(0, "first")
+    sim.run_until(0.0)
+    assert [(rid, msg, sid) for rid, msg, sid, _t in log] == [
+        (1, "first", 0), (2, "first", 0),                   # the whole first batch
+        (0, "echo", 1), (2, "echo", 1), (3, "echo", 1)]     # then the relay's
+
+
+def test_receiver_killed_earlier_in_the_same_batch_gets_nothing():
+    sim = bare_sim()
+    for nid, x in ((0, 0.0), (1, 30.0), (2, 60.0)):
+        add_node(sim, nid, x, 0.0)
+    log = []
+    _log_deliveries(sim, log)
+
+    def kill_next(msg, sid):
+        log.append((1, msg, sid, sim.now))
+        sim.mark_dead(2)
+    sim.nodes[1].handle_message = kill_next
+    assert sim.broadcast(0, "probe") == frozenset({1, 2})
+    sim.run_until(0.0)
+    assert [rid for rid, *_ in log] == [1]
+
+
+def test_positive_propagation_delay_delivers_at_now_plus_delay():
+    sim = bare_sim(propagation_delay_s=0.25)
+    for nid, x in ((0, 0.0), (1, 30.0), (2, 60.0)):
+        add_node(sim, nid, x, 0.0)
+    log = []
+    _log_deliveries(sim, log)
+    sim.run_until(1.0)
+    sim.broadcast(0, "flood")
+    assert sim.unicast(0, 2, "hop") is True
+    sim.run_until(1.2)
+    assert log == []
+    sim.run_until(2.0)
+    assert log == [(1, "flood", 0, 1.25), (2, "flood", 0, 1.25), (2, "hop", 0, 1.25)]
+
+
+# -- neighbour query ---------------------------------------------------------
+
+def _brute_force_in_range(sim, node_id):
+    """The reference scan: every other alive node, in self.nodes order, that
+    geometry.distance puts within radio range."""
+    me = sim.nodes[node_id]
+    return tuple(other_id for other_id, other in sim.nodes.items()
+                 if other_id != node_id and other.alive
+                 and distance(me.pos, other.pos) <= sim.config.tx_range_m)
+
+
+def _assert_query_matches_brute_force(sim):
+    expected = {nid: _brute_force_in_range(sim, nid) for nid in sim.nodes}
+    assert {nid: sim.alive_in_range(nid) for nid in sim.nodes} == expected
+
+
+@pytest.mark.parametrize("tx_range, a, b", [
+    (80.0, (0.0, 0.0), (80.0, 0.0)),                  # exactly in range, on a cell edge
+    (80.0, (79.9, 0.0), (159.9, 0.0)),                # exactly in range, across an edge
+    (80.0, (80.0, 80.0), (160.0, 160.0)),             # cell corners, out of range
+    (80.0, (80.0, 80.0), (128.0, 144.0)),             # corner to a point exactly 80 away
+    (80.0, (0.0, 0.0), (math.nextafter(80.0, 100.0), 0.0)),   # one ulp out
+    # The coordinate difference rounds down to exactly the range although
+    # the two points are two range-widths of cells apart.
+    (64.0, (math.nextafter(64.0, 0.0), 0.0), (128.0, 0.0)),
+])
+def test_grid_query_matches_brute_force_at_cell_edges(tx_range, a, b):
+    sim = bare_sim(tx_range_m=tx_range)
+    add_node(sim, 0, *a)
+    add_node(sim, 1, *b)
+    add_node(sim, 2, 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
+    _assert_query_matches_brute_force(sim)
+
+
+# Offsets that put a coordinate on, or within a rounding error of, a
+# multiple of the range (cell edges and corners) or of a partner's position.
+_NUDGES = (0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6)
+
+
+def _coordinate(tx_range):
+    on_edge = st.builds(lambda k, nudge: k * tx_range + nudge,
+                        st.integers(-1, 5), st.sampled_from(_NUDGES))
+    return st.one_of(st.floats(-tx_range, 5 * tx_range), on_edge)
+
+
+def _draw_point(data, tx_range, placed):
+    """A free point, or one about a range away from an already placed one."""
+    coord = _coordinate(tx_range)
+    if placed and data.draw(st.booleans()):
+        px, py = data.draw(st.sampled_from(placed))
+        dx, dy = data.draw(st.sampled_from(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0),
+                                            (0.6, 0.8), (-0.8, 0.6), (0.6, -0.8))))
+        nudge = data.draw(st.sampled_from(_NUDGES))
+        return px + dx * tx_range + nudge, py + dy * tx_range
+    return data.draw(coord), data.draw(coord)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_grid_query_equals_brute_force_scan(data):
+    tx_range = data.draw(st.sampled_from((80.0, 64.0, 0.3)))
+    sim = bare_sim(tx_range_m=tx_range)
+    ids = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=30, unique=True))
+    placed = []
+    for nid in ids:   # ids in random order: results follow insertion order
+        placed.append(_draw_point(data, tx_range, placed))
+        add_node(sim, nid, *placed[-1])
+    for nid in data.draw(st.lists(st.sampled_from(ids), max_size=len(ids) // 2)):
+        sim.mark_dead(nid)
+    _assert_query_matches_brute_force(sim)
+
+    moved = data.draw(st.sampled_from(ids))
+    sim.nodes[moved].pos = Position(*_draw_point(data, tx_range, placed))
+    add_node(sim, 1000, *_draw_point(data, tx_range, placed))
+    sim.invalidate_neighbors()
+    _assert_query_matches_brute_force(sim)
 
 
 def test_empty_simulation_yields_zero_metrics():

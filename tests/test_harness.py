@@ -87,6 +87,17 @@ def test_sweep_rejects_zero_replicates():
         sweep([5], ["ecbrp"], 0, tiny_config())
 
 
+@pytest.mark.parametrize("counts, modes", [([5, 5], ["cbrp"]), ([5], ["cbrp", "cbrp"]),
+                                           ([5, 10, 5], ["cbrp", "ecbrp"])])
+def test_sweep_rejects_repeated_value_before_any_run(counts, modes, monkeypatch):
+    # A repeat would rerun a (node_count, mode) cell and overwrite its result.
+    def no_run(config):
+        raise AssertionError("a run started before the sweep's arguments were checked")
+    monkeypatch.setattr("cbrsim.experiment.run_scenario", no_run)
+    with pytest.raises(ValueError, match="repeats"):
+        sweep(counts, modes, 1, tiny_config())
+
+
 # -- CSV --------------------------------------------------------------------
 
 def test_csv_layout_and_mean_rows():
@@ -292,6 +303,17 @@ def test_cli_sweep_bad_flag_exits_2_before_any_run(flag, value, monkeypatch, cap
     monkeypatch.setattr("cbrsim.cli.sweep", no_run)
     assert main(["sweep", flag, value]) == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--nodes", "5,5"), ("--nodes", "3,10,3"),
+                                         ("--modes", "cbrp,cbrp")])
+def test_cli_sweep_repeated_value_exits_2_before_any_run(flag, value, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a sweep started before its flags were checked")
+    monkeypatch.setattr("cbrsim.cli.sweep", no_run)
+    assert main(["sweep", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "once" in err
 
 
 @pytest.mark.parametrize("flag", [["--config", "x.conf"], ["--seed", "3"],
