@@ -6,7 +6,7 @@ from .config import ConfigError, ScenarioConfig, load_config_file
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 from .experiment import (CellResult, SweepResult, run_scenario, run_scenario_sim,
                          sweep, sweep_to_csv, write_sweep_csv)
-from .geometry import Position, distance, in_range
+from .geometry import Position, distance
 from .metrics import DROP_CAUSES, RunMetrics, pdr
 from .mobility import EnergyState, MobilityState, mobility_step, place_nodes
 from .node import Node
@@ -20,7 +20,7 @@ __all__ = [
     "Simulator", "ROLE_DEAD", "ROLE_HEAD", "ROLE_MEMBER", "ROLE_UNDECIDED",
     "CellResult", "SweepResult", "run_scenario", "run_scenario_sim",
     "sweep", "sweep_to_csv", "write_sweep_csv",
-    "Position", "distance", "in_range",
+    "Position", "distance",
     "DROP_CAUSES", "RunMetrics", "pdr",
     "EnergyState", "MobilityState", "mobility_step", "place_nodes",
     "Node", "build_simulation", "render_snapshot", "write_snapshot",

@@ -199,7 +199,7 @@ class Simulator:
         def deliver():
             for receiver_id in receivers:
                 receiver = nodes.get(receiver_id)
-                if receiver is not None and receiver.alive:
+                if receiver is not None and receiver.role != ROLE_DEAD:
                     receiver.handle_message(message, sender_id)
         self.schedule(self.now + self.config.propagation_delay_s, "deliver", deliver)
 

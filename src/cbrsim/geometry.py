@@ -1,4 +1,4 @@
-"""2-D positions and the unit-disk radio predicate."""
+"""2-D positions and the distance the unit-disk radio range is tested on."""
 
 import math
 from dataclasses import dataclass
@@ -12,8 +12,3 @@ class Position:
 
 def distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def in_range(a: Position, b: Position, radio_range: float) -> bool:
-    # Inclusive boundary: a link exists at exactly the radio range.
-    return distance(a, b) <= radio_range

@@ -8,8 +8,10 @@ from typing import FrozenSet, List, Optional, Tuple
 from .geometry import Position
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Hello:
+    # Frozen: every receiver keeps this one object as its neighbour-table
+    # entry for the sender.
     sender_id: int
     sender_role: str
     sender_pos: Position

@@ -9,27 +9,26 @@ Two protocol modes share the machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from math import hypot
+from typing import Dict, List, Optional, Tuple
 
 from . import routing
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
-from .geometry import Position, distance
+from .geometry import Position
 from .messages import DataPacket, Hello, RouteReply, RouteRequest, SecondaryAnnounce
 from .mobility import EnergyState, MobilityState
 from .weights import WeightComponents, WeightFactors, average_speed, combined_weight, degree_difference
 
-
-@dataclass
-class NeighborEntry:
-    node_id: int
-    role: str
-    cluster_id: Optional[int]
-    weight: Optional[float]
-    pos: Position
-    secondary_id: Optional[int]
-    one_hop: FrozenSet[int]      # ids the neighbor itself advertised hearing
-    last_heard: float
+# Message type -> name of the Node method that handles it, called as
+# method(message, sender_id). Looked up on the node at each call, so a method
+# patched on the class or the instance is the one that runs.
+_HANDLERS = {
+    Hello: "on_hello",
+    SecondaryAnnounce: "on_secondary_announce",
+    RouteRequest: "_on_rreq",
+    RouteReply: "_on_rrep",
+    DataPacket: "_on_data",
+}
 
 
 class Node:
@@ -49,7 +48,10 @@ class Node:
         self.member_ids: set = set()
         self.my_secondary: Optional[int] = None          # as head
         self.cluster_secondary: Optional[int] = None     # as member, of own cluster
-        self.neighbors: Dict[int, NeighborEntry] = {}
+        # The neighbour table: id -> the Hello last heard from it, and id ->
+        # when. Both gain and lose keys together, so they share one order.
+        self.neighbors: Dict[int, Hello] = {}
+        self.heard: Dict[int, float] = {}
         self.known_secondaries: Dict[int, int] = {}       # head id -> its secondary
 
         self.ch_accum_s = 0.0
@@ -77,24 +79,35 @@ class Node:
         return None
 
     # The one neighbour view: every decision that depends on which neighbours
-    # a node hears right now reads one of these two.
+    # a node hears right now reads one of these two (the weight reads the
+    # same test through weight_components).
 
-    def fresh_neighbors(self) -> List[NeighborEntry]:
-        """Table entries heard within the stale timeout."""
+    def fresh_neighbors(self) -> List[Hello]:
+        """The Hellos of neighbours heard within the stale timeout, in table order."""
         cutoff = self.sim.now - self.sim.config.stale_timeout_s()
-        return [e for e in self.neighbors.values() if e.last_heard >= cutoff]
+        heard = self.heard
+        return [h for nid, h in self.neighbors.items() if heard[nid] >= cutoff]
 
-    def current_degree_entries(self) -> List[NeighborEntry]:
-        """Fresh entries whose advertised position is within radio range."""
+    def current_degree_entries(self) -> List[Hello]:
+        """Fresh Hellos whose advertised position is within radio range."""
+        cutoff = self.sim.now - self.sim.config.stale_timeout_s()
         rng = self.sim.config.tx_range_m
-        return [e for e in self.fresh_neighbors() if distance(self.pos, e.pos) <= rng]
+        x, y, heard = self.pos.x, self.pos.y, self.heard
+        return [h for nid, h in self.neighbors.items()
+                if heard[nid] >= cutoff and hypot(x - h.sender_pos.x, y - h.sender_pos.y) <= rng]
 
     # -- weight ------------------------------------------------------------
 
-    def weight_components(self) -> WeightComponents:
+    def weight_components(self, fresh: Optional[List[Hello]] = None) -> WeightComponents:
+        """The weight's terms; `fresh` is this instant's fresh_neighbors(),
+        when the caller already has it. Each neighbour is measured once: the
+        degree counts and the distance sum adds the distances within range."""
         cfg = self.sim.config
-        entries = self.current_degree_entries()
-        dsum = sum(distance(self.pos, e.pos) for e in entries)
+        if fresh is None:
+            fresh = self.fresh_neighbors()
+        x, y, rng = self.pos.x, self.pos.y, cfg.tx_range_m
+        dists = [d for h in fresh
+                 if (d := hypot(x - h.sender_pos.x, y - h.sender_pos.y)) <= rng]
         if cfg.p_v_mode == "energy_consumed":
             head_metric = self.energy.consumed()
         else:
@@ -102,14 +115,14 @@ class Node:
             if self._ch_since is not None:
                 head_metric += self.sim.now - self._ch_since
         return WeightComponents(
-            degree_diff=degree_difference(len(entries), cfg.ideal_degree),
-            dist_sum=dsum,
+            degree_diff=degree_difference(len(dists), cfg.ideal_degree),
+            dist_sum=sum(dists),
             mobility=average_speed(self.mobility.total_distance, self.sim.now),
             head_time=head_metric,
         )
 
-    def weight_now(self) -> float:
-        return combined_weight(self.weight_components(), self.factors)
+    def weight_now(self, fresh: Optional[List[Hello]] = None) -> float:
+        return combined_weight(self.weight_components(fresh), self.factors)
 
     # -- startup and timers ------------------------------------------------
 
@@ -141,9 +154,10 @@ class Node:
 
     def build_hello(self) -> Hello:
         # Weight is recomputed immediately before every broadcast.
-        weight = self.weight_now() if self.mode == "ecbrp" else None
+        fresh = self.fresh_neighbors()
+        weight = self.weight_now(fresh) if self.mode == "ecbrp" else None
         self.last_advertised_weight = weight
-        one_hop = frozenset(e.node_id for e in self.fresh_neighbors())
+        one_hop = frozenset([h.sender_id for h in fresh])
         secondary = self.my_secondary if self.role == ROLE_HEAD else self.cluster_secondary
         return Hello(self.node_id, self.role, self.pos, weight,
                      self.cluster_id, secondary, one_hop)
@@ -154,24 +168,31 @@ class Node:
     # -- message dispatch --------------------------------------------------
 
     def handle_message(self, message, sender_id: int) -> None:
-        if isinstance(message, Hello):
-            self.on_hello(message, sender_id)
-        elif isinstance(message, SecondaryAnnounce):
-            self.on_secondary_announce(message)
-        elif isinstance(message, RouteRequest):
-            routing.handle_rreq(self.sim, self, message)
-        elif isinstance(message, RouteReply):
-            routing.handle_rrep(self.sim, self, message)
-        elif isinstance(message, DataPacket):
-            routing.handle_data(self.sim, self, message)
+        try:
+            name = _HANDLERS[type(message)]
+        except KeyError:
+            raise TypeError(f"node {self.node_id} cannot handle a message of type "
+                            f"{type(message).__name__}") from None
+        getattr(self, name)(message, sender_id)
+
+    # Routing handlers are looked up on the module at each call, so a
+    # patched routing.handle_* is the one that runs.
+
+    def _on_rreq(self, rreq: RouteRequest, sender_id: int) -> None:
+        routing.handle_rreq(self.sim, self, rreq)
+
+    def _on_rrep(self, rrep: RouteReply, sender_id: int) -> None:
+        routing.handle_rrep(self.sim, self, rrep)
+
+    def _on_data(self, packet: DataPacket, sender_id: int) -> None:
+        routing.handle_data(self.sim, self, packet)
 
     # -- HELLO processing --------------------------------------------------
 
     def on_hello(self, hello: Hello, sender_id: int) -> None:
         now = self.sim.now
-        self.neighbors[sender_id] = NeighborEntry(
-            sender_id, hello.sender_role, hello.cluster_id, hello.sender_weight,
-            hello.sender_pos, hello.secondary_id, hello.neighbor_snapshot, now)
+        self.neighbors[sender_id] = hello
+        self.heard[sender_id] = now
 
         if hello.cluster_id is not None and hello.secondary_id is not None:
             self.known_secondaries[hello.cluster_id] = hello.secondary_id
@@ -244,15 +265,15 @@ class Node:
         else:
             self.revert_undecided()
 
-    def _best_head_entry(self, exclude: Optional[int] = None) -> Optional[NeighborEntry]:
+    def _best_head_entry(self, exclude: Optional[int] = None) -> Optional[Hello]:
         candidates = [e for e in self.current_degree_entries()
-                      if e.role == ROLE_HEAD and e.node_id != exclude]
+                      if e.sender_role == ROLE_HEAD and e.sender_id != exclude]
         if not candidates:
             return None
         if self.mode == "ecbrp":
-            return min(candidates, key=lambda e: (e.weight if e.weight is not None else float("inf"),
-                                                  e.node_id))
-        return min(candidates, key=lambda e: e.node_id)
+            return min(candidates, key=lambda e: (e.sender_weight if e.sender_weight is not None
+                                                  else float("inf"), e.sender_id))
+        return min(candidates, key=lambda e: e.sender_id)
 
     def _join_evaluate(self) -> None:
         self._join_eval_scheduled = False
@@ -262,14 +283,14 @@ class Node:
         if best is not None:
             self._join(best)
 
-    def _join(self, entry: NeighborEntry) -> None:
+    def _join(self, entry: Hello) -> None:
         was_undecided = self.role == ROLE_UNDECIDED
         if self.role == ROLE_HEAD:
             self._stop_heading()
         self.role = ROLE_MEMBER
-        self.head_id = entry.node_id
+        self.head_id = entry.sender_id
         self.cluster_secondary = entry.secondary_id
-        self.sim.record("join", self.node_id, entry.node_id, entry.weight)
+        self.sim.record("join", self.node_id, entry.sender_id, entry.sender_weight)
         if was_undecided:
             self._cancel_undecided_timer()
 
@@ -287,17 +308,18 @@ class Node:
             # Isolated: stay undecided and repeat the procedure later.
             self._restart_undecided_timer()
             return
-        competitors = [e for e in entries if e.role == ROLE_UNDECIDED]
+        competitors = [e for e in entries if e.sender_role == ROLE_UNDECIDED]
         if self.mode == "ecbrp":
             mine = (self.weight_now(), self.node_id)
-            beaten = any((e.weight if e.weight is not None else float("inf"), e.node_id) < mine
-                         for e in competitors)
+            beaten = any((e.sender_weight if e.sender_weight is not None else float("inf"),
+                          e.sender_id) < mine for e in competitors)
         else:
-            beaten = any(e.node_id < self.node_id for e in competitors)
+            beaten = any(e.sender_id < self.node_id for e in competitors)
         if beaten:
             self._restart_undecided_timer()
         else:
-            beaten_weights = tuple(sorted(e.weight for e in competitors if e.weight is not None))
+            beaten_weights = tuple(sorted(e.sender_weight for e in competitors
+                                          if e.sender_weight is not None))
             self.become_head(beaten_weights)
 
     def become_head(self, contested_weights: Tuple[float, ...] = ()) -> None:
@@ -317,7 +339,7 @@ class Node:
 
     # -- secondary head (ECBRP) -------------------------------------------
 
-    def on_secondary_announce(self, msg: SecondaryAnnounce) -> None:
+    def on_secondary_announce(self, msg: SecondaryAnnounce, sender_id: int) -> None:
         self.known_secondaries[msg.head_id] = msg.secondary_id
         if self.role == ROLE_MEMBER and self.head_id == msg.head_id:
             self.cluster_secondary = msg.secondary_id
@@ -325,19 +347,19 @@ class Node:
     def _reelect_secondary(self) -> None:
         if self.mode != "ecbrp" or self.role != ROLE_HEAD:
             return
-        candidates = [e for e in self.fresh_neighbors() if e.node_id in self.member_ids]
+        candidates = [e for e in self.fresh_neighbors() if e.sender_id in self.member_ids]
         if not candidates:
             if self.my_secondary is not None:
                 self.my_secondary = None
             return
-        best = min(candidates, key=lambda e: (e.weight if e.weight is not None else float("inf"),
-                                              e.node_id))
-        if best.node_id != self.my_secondary:
+        best = min(candidates, key=lambda e: (e.sender_weight if e.sender_weight is not None
+                                              else float("inf"), e.sender_id))
+        if best.sender_id != self.my_secondary:
             if self.sim.now - self._last_secondary_announce < self.sim.config.hello_interval_s:
                 return
-            self.my_secondary = best.node_id
+            self.my_secondary = best.sender_id
             self._last_secondary_announce = self.sim.now
-            self.sim.broadcast(self.node_id, SecondaryAnnounce(self.node_id, best.node_id))
+            self.sim.broadcast(self.node_id, SecondaryAnnounce(self.node_id, best.sender_id))
 
     # -- table maintenance and failover ------------------------------------
 
@@ -345,9 +367,10 @@ class Node:
         if not self.alive:
             return
         cutoff = self.sim.now - self.sim.config.stale_timeout_s()
-        expired = [nid for nid, e in self.neighbors.items() if e.last_heard < cutoff]
+        expired = [nid for nid, t in self.heard.items() if t < cutoff]
         for nid in expired:
             del self.neighbors[nid]
+            del self.heard[nid]
             self.member_ids.discard(nid)
         if (self.role == ROLE_MEMBER and self.head_id is not None
                 and self.head_id not in self.neighbors):

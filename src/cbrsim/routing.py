@@ -107,7 +107,7 @@ def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
     if node.role != ROLE_MEMBER:
         return False
     for entry in node.fresh_neighbors():
-        if entry.node_id == dest_id:
+        if entry.sender_id == dest_id:
             return True
         if entry.cluster_id is not None and entry.cluster_id not in recorded_path:
             return True
@@ -225,7 +225,7 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
         substitute = _secondary_for(node, failed_next)
         if (substitute is not None and substitute not in route
                 and substitute not in tried
-                and any(e.node_id == substitute for e in node.fresh_neighbors())):
+                and any(e.sender_id == substitute for e in node.fresh_neighbors())):
             route[i + 1] = substitute
             _send_hop(sim, node, packet, tried)
             return
@@ -251,9 +251,9 @@ def _secondary_for(node, failed_id: int) -> Optional[int]:
 def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> Optional[int]:
     """Two-hop patch: a current neighbor that itself reported hearing the hop
     after the broken one."""
-    candidates = [e.node_id for e in node.current_degree_entries()
-                  if e.node_id not in route and e.node_id not in tried
-                  and after in e.one_hop]
+    candidates = [e.sender_id for e in node.current_degree_entries()
+                  if e.sender_id not in route and e.sender_id not in tried
+                  and after in e.neighbor_snapshot]
     return min(candidates) if candidates else None
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from cbrsim import ScenarioConfig
-from cbrsim.engine import Simulator
+from cbrsim.engine import ROLE_MEMBER, Simulator
 from cbrsim.geometry import Position
+from cbrsim.messages import Hello
 from cbrsim.mobility import EnergyState, MobilityState
 from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
@@ -46,6 +47,17 @@ def add_node(sim, node_id, x, y, energy=None) -> Node:
                 EnergyState(e, e, sim.config.transmit_cost))
     sim.nodes[node_id] = node
     return node
+
+
+def add_neighbor(node, sender_id, x, y, *, role=ROLE_MEMBER, cluster=None, weight=None,
+                 secondary=None, one_hop=(), age=0.0) -> Hello:
+    """Enter sender_id in node's neighbour table as if its HELLO, advertising
+    position (x, y), had arrived `age` seconds ago; returns that Hello."""
+    hello = Hello(sender_id, role, Position(x, y), weight, cluster, secondary,
+                  frozenset(one_hop))
+    node.neighbors[sender_id] = hello
+    node.heard[sender_id] = node.sim.now - age
+    return hello
 
 
 def assert_conserved(sim):

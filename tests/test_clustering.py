@@ -4,16 +4,11 @@ failover, and neighbor-table maintenance."""
 from cbrsim import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED
 from cbrsim.geometry import Position
 from cbrsim.messages import Hello
-from cbrsim.node import NeighborEntry, Node
+from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import stress_config
 
-from conftest import add_node, bare_sim, static_config, static_sim
-
-
-def head_entry(sim, node_id, weight, x=10.0, y=0.0):
-    return NeighborEntry(node_id, ROLE_HEAD, node_id, weight, Position(x, y),
-                         None, (), sim.now)
+from conftest import add_neighbor, add_node, bare_sim, static_config, static_sim
 
 
 def head_hello(sender_id, weight, x=10.0, y=0.0, secondary=None):
@@ -40,11 +35,31 @@ def test_dead_at_start_node_sends_no_hello():
 def test_hello_refreshes_existing_entry_without_role_change():
     sim = static_sim({0: (0, 0), 1: (40, 0)})
     sim.run_until(4.0)   # formation settled
-    first = sim.nodes[0].neighbors[1].last_heard
+    first = sim.nodes[0].heard[1]
     role = sim.nodes[0].role
     sim.run_until(5.0)
-    assert sim.nodes[0].neighbors[1].last_heard > first
+    assert sim.nodes[0].heard[1] > first
     assert sim.nodes[0].role == role
+
+
+def test_table_entry_is_the_received_hello():
+    sim = bare_sim()
+    node = add_node(sim, 0, 0.0, 0.0)
+    first = head_hello(2, 1.0)
+    node.on_hello(first, 2)
+    assert node.neighbors[2] is first
+    assert node.heard[2] == 0.0
+    sim.run_until(1.5)
+    again = head_hello(2, 1.0)
+    node.on_hello(again, 2)
+    assert node.neighbors[2] is again
+    assert node.heard[2] == 1.5
+
+
+def test_every_receiver_keeps_the_one_broadcast_hello():
+    sim = static_sim({0: (0, 0), 1: (40, 0), 2: (0, 40)})
+    sim.run_until(0.0)
+    assert sim.nodes[1].neighbors[0] is sim.nodes[2].neighbors[0]
 
 
 # -- joining ----------------------------------------------------------------
@@ -52,8 +67,8 @@ def test_hello_refreshes_existing_entry_without_role_change():
 def test_undecided_joins_lowest_weight_head():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
-    node.neighbors = {7: head_entry(sim, 7, 2.0, 10, 0),
-                      3: head_entry(sim, 3, 1.0, 0, 10)}
+    add_neighbor(node, 7, 10, 0, role=ROLE_HEAD, cluster=7, weight=2.0)
+    add_neighbor(node, 3, 0, 10, role=ROLE_HEAD, cluster=3, weight=1.0)
     node.on_undecided_timeout()
     assert node.role == ROLE_MEMBER
     assert node.head_id == 3  # the W=1.0 head wins
@@ -70,7 +85,7 @@ def test_cbrp_undecided_joins_head_that_replies():
 def test_join_only_considers_in_range_heads():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
-    node.neighbors = {5: head_entry(sim, 5, 1.0, x=300.0)}  # stale position
+    add_neighbor(node, 5, 300.0, 0.0, role=ROLE_HEAD, cluster=5, weight=1.0)  # stale position
     node.on_undecided_timeout()
     assert node.role != ROLE_MEMBER
 
@@ -177,8 +192,8 @@ def test_secondary_is_lowest_weight_member():
     head = add_node(sim, 0, 0.0, 0.0)
     head.become_head()
     head.member_ids = {5, 9}
-    head.neighbors = {5: NeighborEntry(5, ROLE_MEMBER, 0, 2.0, Position(10, 0), None, (), 0.0),
-                      9: NeighborEntry(9, ROLE_MEMBER, 0, 3.0, Position(0, 10), None, (), 0.0)}
+    add_neighbor(head, 5, 10, 0, cluster=0, weight=2.0)
+    add_neighbor(head, 9, 0, 10, cluster=0, weight=3.0)
     head._reelect_secondary()
     assert head.my_secondary == 5
 
@@ -188,8 +203,8 @@ def test_secondary_tie_resolved_by_lower_id():
     head = add_node(sim, 0, 0.0, 0.0)
     head.become_head()
     head.member_ids = {5, 9}
-    head.neighbors = {5: NeighborEntry(5, ROLE_MEMBER, 0, 2.0, Position(10, 0), None, (), 0.0),
-                      9: NeighborEntry(9, ROLE_MEMBER, 0, 2.0, Position(0, 10), None, (), 0.0)}
+    add_neighbor(head, 5, 10, 0, cluster=0, weight=2.0)
+    add_neighbor(head, 9, 0, 10, cluster=0, weight=2.0)
     head._reelect_secondary()
     assert head.my_secondary == 5
 
@@ -257,8 +272,7 @@ def test_silent_neighbor_expires_after_three_intervals():
 def test_fresh_tables_pass_maintenance_unchanged():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
-    node.neighbors = {1: NeighborEntry(1, ROLE_MEMBER, 5, None, Position(10, 0),
-                                       None, (), 0.0)}
+    add_neighbor(node, 1, 10, 0, cluster=5)
     node.table_maintenance()
     assert 1 in node.neighbors
 

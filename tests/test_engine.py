@@ -15,7 +15,8 @@ from conftest import add_node, bare_sim, static_config
 
 
 class _Probe:
-    """An opaque message; nodes ignore unknown types."""
+    """An opaque message. A node has no handler for it, so a test that
+    delivers one replaces the receiver's handle_message."""
 
 
 def test_events_fire_in_time_order():
@@ -78,6 +79,27 @@ def test_range_boundary_is_inclusive():
     add_node(sim, 0, 0.0, 0.0)
     add_node(sim, 1, 80.0, 0.0)
     assert sim.broadcast(0, _Probe()) == frozenset({1})
+
+
+def test_in_range_boundary_inclusive():
+    # The neighbour query and unicast share one range test: a node exactly
+    # tx_range_m (80 m) away is reachable, one a millimetre further is not.
+    sim = bare_sim()
+    add_node(sim, 0, 0.0, 0.0)
+    add_node(sim, 1, 80.0, 0.0)
+    add_node(sim, 2, -80.001, 0.0)
+    assert sim.alive_in_range(0) == (1,)
+    assert sim.unicast(0, 1, _Probe()) is True
+    assert sim.unicast(0, 2, _Probe()) is False
+
+
+def test_unknown_message_type_fails_loudly():
+    sim = bare_sim()
+    add_node(sim, 0, 0.0, 0.0)
+    add_node(sim, 1, 40.0, 0.0)
+    sim.broadcast(0, _Probe())
+    with pytest.raises(TypeError, match="_Probe"):
+        sim.run_until(0.0)
 
 
 def test_lone_broadcast_still_costs_energy():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbrsim.geometry import Position, distance, in_range
+from cbrsim.geometry import Position, distance
 from cbrsim.mobility import (EnergyState, MobilityState, mobility_step, place_nodes,
                              random_waypoint)
 from cbrsim.weights import average_speed
@@ -23,11 +23,6 @@ def test_distance_345_triangle():
 
 def test_distance_identity():
     assert distance(Position(12.5, -3.0), Position(12.5, -3.0)) == 0.0
-
-
-def test_in_range_boundary_inclusive():
-    assert in_range(Position(0, 0), Position(80, 0), 80.0)
-    assert not in_range(Position(0, 0), Position(80.001, 0), 80.0)
 
 
 # -- placement --------------------------------------------------------------

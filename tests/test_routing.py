@@ -5,17 +5,10 @@ import pytest
 
 from cbrsim import ROLE_HEAD, ROLE_MEMBER
 from cbrsim import routing
-from cbrsim.geometry import Position
 from cbrsim.messages import RouteReply, RouteRequest
-from cbrsim.node import NeighborEntry
 
-from conftest import (add_node, assert_conserved, assert_loop_free, bare_sim, hops,
-                      recorded_paths, static_sim)
-
-
-def entry(sim, node_id, role, cluster, x, y, one_hop=()):
-    return NeighborEntry(node_id, role, cluster, None, Position(x, y),
-                         None, frozenset(one_hop), sim.now)
+from conftest import (add_neighbor, add_node, assert_conserved, assert_loop_free, bare_sim,
+                      hops, recorded_paths, static_sim)
 
 
 # -- discovery --------------------------------------------------------------
@@ -168,8 +161,8 @@ def test_secondary_substitution_repairs_dead_head_hop():
     add_node(sim, 3, 160.0, 20.0)
     add_node(sim, 4, 140.0, 25.0)
     dead_head.role = "dead"
-    gateway.neighbors[2] = entry(sim, 2, ROLE_HEAD, 2, 140.0, 0.0)
-    gateway.neighbors[4] = entry(sim, 4, ROLE_MEMBER, 2, 140.0, 25.0)
+    add_neighbor(gateway, 2, 140.0, 0.0, role=ROLE_HEAD, cluster=2)
+    add_neighbor(gateway, 4, 140.0, 25.0, role=ROLE_MEMBER, cluster=2)
     gateway.known_secondaries[2] = 4
     source.routing.routes[3] = [0, 1, 2, 3]
     routing.generate_packet(sim, 0, 3)
@@ -189,7 +182,7 @@ def test_salvage_used_when_secondary_unknown():
     add_node(sim, 3, 160.0, 20.0)
     add_node(sim, 5, 100.0, 30.0)
     dead_head.role = "dead"
-    gateway.neighbors[5] = entry(sim, 5, ROLE_MEMBER, None, 100.0, 30.0, one_hop=(3,))
+    add_neighbor(gateway, 5, 100.0, 30.0, role=ROLE_MEMBER, one_hop=(3,))
     source.routing.routes[3] = [0, 1, 2, 3]
     routing.generate_packet(sim, 0, 3)
     sim.run_until(0.0)
@@ -211,7 +204,7 @@ def test_salvage_uses_neighbour_ids_advertised_in_hello():
     hello = relay.build_hello()
     assert hello.neighbor_snapshot == frozenset({3})
     gateway.on_hello(hello, 5)
-    assert gateway.neighbors[5].one_hop == frozenset({3})
+    assert gateway.neighbors[5].neighbor_snapshot == frozenset({3})
     dead_head.role = "dead"
     source.routing.routes[3] = [0, 1, 2, 3]
     routing.generate_packet(sim, 0, 3)
@@ -248,9 +241,7 @@ def test_member_relays_only_for_a_fresh_neighbour(age, relays):
     add_node(sim, 2, 40.0, 0.0)
     gateway.role = ROLE_MEMBER
     gateway.head_id = 9          # already on the recorded path
-    foreign = entry(sim, 7, ROLE_HEAD, 7, 0.0, 40.0)
-    foreign.last_heard = sim.now - age
-    gateway.neighbors[7] = foreign
+    add_neighbor(gateway, 7, 0.0, 40.0, role=ROLE_HEAD, cluster=7, age=age)
     routing.handle_rreq(sim, gateway, RouteRequest((9, 0, 0), 5, [9]))
     sim.run_until(sim.now)
     assert ((9, 1, 2) in recorded_paths(sim)) == relays
@@ -278,9 +269,7 @@ def _send_one_packet(sim):
 
 def test_secondary_substitution_ignores_a_stale_secondary():
     sim, gateway = _broken_route_sim()
-    secondary = entry(sim, 4, ROLE_MEMBER, 2, 140.0, 25.0)
-    secondary.last_heard = sim.now - STALE
-    gateway.neighbors[4] = secondary
+    add_neighbor(gateway, 4, 140.0, 25.0, role=ROLE_MEMBER, cluster=2, age=STALE)
     gateway.known_secondaries[2] = 4
     _send_one_packet(sim)
     assert sim.metrics.dropped["route-error"] == 1
@@ -289,9 +278,7 @@ def test_secondary_substitution_ignores_a_stale_secondary():
 
 def test_salvage_ignores_a_stale_neighbour():
     sim, gateway = _broken_route_sim()
-    patch = entry(sim, 5, ROLE_MEMBER, None, 100.0, 30.0, one_hop=(3,))
-    patch.last_heard = sim.now - STALE
-    gateway.neighbors[5] = patch
+    add_neighbor(gateway, 5, 100.0, 30.0, role=ROLE_MEMBER, one_hop=(3,), age=STALE)
     _send_one_packet(sim)
     assert sim.metrics.dropped["route-error"] == 1
     assert (1, 5) not in hops(sim)
@@ -300,7 +287,7 @@ def test_salvage_ignores_a_stale_neighbour():
 def test_salvage_ignores_a_neighbour_advertised_out_of_range():
     # Node 5 is really in range, but its last HELLO placed it far away.
     sim, gateway = _broken_route_sim()
-    gateway.neighbors[5] = entry(sim, 5, ROLE_MEMBER, None, 300.0, 300.0, one_hop=(3,))
+    add_neighbor(gateway, 5, 300.0, 300.0, role=ROLE_MEMBER, one_hop=(3,))
     _send_one_packet(sim)
     assert sim.metrics.dropped["route-error"] == 1
     assert (1, 5) not in hops(sim)

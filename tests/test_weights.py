@@ -6,12 +6,11 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from cbrsim.geometry import Position
-from cbrsim.node import NeighborEntry
+from cbrsim.geometry import Position, distance
 from cbrsim.weights import (WeightComponents, WeightFactors, average_speed,
                             combined_weight, degree_difference)
 
-from conftest import add_node, bare_sim
+from conftest import add_neighbor, add_node, bare_sim
 
 PAPER_FACTORS = WeightFactors(0.7, 0.2, 0.05, 0.05)
 
@@ -25,11 +24,6 @@ def oracle_weight(components, factors):
     return float(total)
 
 
-def _entry(sim, node_id, x, y, weight=None):
-    return NeighborEntry(node_id, "member", None, weight, Position(x, y),
-                         None, (), sim.now)
-
-
 # -- degree -----------------------------------------------------------------
 
 def test_isolated_node_has_degree_zero():
@@ -41,16 +35,17 @@ def test_isolated_node_has_degree_zero():
 def test_degree_counts_only_in_range_neighbors():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
-    node.neighbors = {1: _entry(sim, 1, 30.0, 0.0),
-                      2: _entry(sim, 2, 79.0, 0.0),
-                      3: _entry(sim, 3, 81.0, 0.0)}   # out of range
+    add_neighbor(node, 1, 30.0, 0.0)
+    add_neighbor(node, 2, 79.0, 0.0)
+    add_neighbor(node, 3, 81.0, 0.0)   # out of range
     assert len(node.current_degree_entries()) == 2
 
 
 def test_clique_degree():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
-    node.neighbors = {i: _entry(sim, i, 5.0 * i, 0.0) for i in range(1, 5)}
+    for i in range(1, 5):
+        add_neighbor(node, i, 5.0 * i, 0.0)
     assert len(node.current_degree_entries()) == 4
 
 
@@ -74,10 +69,48 @@ def test_isolated_stationary_node_has_all_zero_components():
 def test_two_neighbor_component_vector():
     sim = bare_sim()  # ideal_degree defaults to 2
     node = add_node(sim, 0, 0.0, 0.0)
-    node.neighbors = {1: _entry(sim, 1, 30.0, 0.0),
-                      2: _entry(sim, 2, 0.0, 40.0)}
+    add_neighbor(node, 1, 30.0, 0.0)
+    add_neighbor(node, 2, 0.0, 40.0)
     c = node.weight_components()
     assert (c.degree_diff, c.dist_sum, c.mobility, c.head_time) == (0, 70.0, 0, 0)
+
+
+# The reference weight terms: filter the fresh entries by range, then measure
+# each kept entry a second time for the sum.
+
+def reference_degree_and_dist_sum(node):
+    cutoff = node.sim.now - node.sim.config.stale_timeout_s()
+    rng = node.sim.config.tx_range_m
+    entries = [h for nid, h in node.neighbors.items()
+               if node.heard[nid] >= cutoff and distance(node.pos, h.sender_pos) <= rng]
+    return entries, len(entries), sum(distance(node.pos, h.sender_pos) for h in entries)
+
+
+NOW = 10.0   # the stale timeout is 3 s, so an entry aged 3.0 is fresh and 3.0001 is not
+ON_RANGE = [(80.0, 0.0), (0.0, -80.0), (48.0, 64.0), (-64.0, -48.0), (80.001, 0.0), (0.0, 79.999)]
+offsets = st.one_of(st.sampled_from(ON_RANGE),
+                    st.tuples(st.floats(-120.0, 120.0), st.floats(-120.0, 120.0)))
+ages = st.one_of(st.sampled_from([0.0, 3.0, 3.0001, 9.0]), st.floats(0.0, 6.0))
+origins = st.one_of(st.sampled_from([(0.0, 0.0), (200.0, 200.0)]),
+                    st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)))
+
+
+@given(origin=origins, table=st.lists(st.tuples(offsets, ages), max_size=30),
+       moved=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))))
+def test_one_pass_weight_terms_equal_the_two_pass_reference(origin, table, moved):
+    sim = bare_sim(ideal_degree=3)
+    sim.run_until(NOW)
+    ox, oy = origin
+    node = add_node(sim, 0, ox, oy)
+    for i, ((dx, dy), age) in enumerate(table, start=1):
+        add_neighbor(node, i, ox + dx, oy + dy, age=age)
+    if moved is not None:   # the node moved since it heard its neighbours
+        node.pos = Position(ox + moved[0], oy + moved[1])
+    entries, degree, dist_sum = reference_degree_and_dist_sum(node)
+    assert node.current_degree_entries() == entries
+    for c in (node.weight_components(), node.weight_components(node.fresh_neighbors())):
+        assert c.degree_diff == degree_difference(degree, 3)
+        assert repr(c.dist_sum) == repr(dist_sum)   # bit for bit, and int 0 when empty
 
 
 def test_average_speed_is_distance_over_time():
