@@ -1,9 +1,12 @@
 """Cluster formation: elections, joins, head contention, secondary heads,
 failover, and neighbor-table maintenance."""
 
-from cbrsim import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED
+import pytest
+
+from cbrsim import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig
+from cbrsim.engine import Simulator
 from cbrsim.geometry import Position
-from cbrsim.messages import Hello
+from cbrsim.messages import Hello, SecondaryAnnounce
 from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import stress_config
@@ -308,3 +311,32 @@ def test_no_hello_carries_the_dead_role(monkeypatch):
     sim.run_until(config.duration_s)
     assert received
     assert sum(not n.alive for n in sim.nodes.values()) > 0
+
+
+@pytest.mark.parametrize("config", [
+    *(stress_config("cbrp", seed) for seed in (1, 2, 3)),
+    ScenarioConfig(protocol_mode="cbrp"),   # default n = 30, with traffic
+], ids=["stress-1", "stress-2", "stress-3", "default-30"])
+def test_cbrp_advertises_no_weight_and_no_secondary(monkeypatch, config):
+    # CBRP elects by id alone and has no secondary head: no HELLO carries a
+    # weight or a secondary, no SecondaryAnnounce goes out, so no node ever
+    # learns of a secondary, through head deaths and route repairs alike.
+    hellos = []
+    original = Simulator.broadcast
+
+    def checked(self, sender_id, message):
+        assert not isinstance(message, SecondaryAnnounce)
+        if isinstance(message, Hello):
+            assert message.sender_weight is None
+            assert message.secondary_id is None
+            hellos.append(sender_id)
+        return original(self, sender_id, message)
+
+    monkeypatch.setattr(Simulator, "broadcast", checked)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    assert hellos
+    assert sim.metrics.cluster_reformations > 0 and sim.metrics.packets_sent > 0
+    for n in sim.nodes.values():
+        assert not n.known_secondaries
+        assert n.cluster_secondary is None and n.my_secondary is None
