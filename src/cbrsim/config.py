@@ -117,7 +117,7 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer or 'none', got {raw!r}")
-    if ftype == "bool" or key == "route_cache":
+    if ftype == "bool":
         if raw.lower() in ("1", "true", "on", "yes"):
             return True
         if raw.lower() in ("0", "false", "off", "no"):

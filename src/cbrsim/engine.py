@@ -154,25 +154,24 @@ class Simulator:
         self._nbr_cache[node_id] = result
         return result
 
-    def _charge_transmit(self, node) -> None:
-        cost = node.energy.transmit_cost
-        if node.role == ROLE_HEAD:
+    def _transmit(self, sender, receivers: Sequence[int], message) -> None:
+        """One transmission: charge the sender (a head pays the head cost
+        factor), deliver to the receivers, and retire a sender it drained."""
+        cost = sender.energy.transmit_cost
+        if sender.role == ROLE_HEAD:
             cost *= self.config.head_transmit_cost_factor
-        node.energy.charge(cost)
-
-    def _after_transmit(self, node) -> None:
-        if node.energy.depleted and node.alive:
-            self.mark_dead(node.node_id)
+        sender.energy.charge(cost)
+        if receivers:
+            self._schedule_delivery(sender.node_id, receivers, message)
+        if sender.energy.depleted and sender.alive:
+            self.mark_dead(sender.node_id)
 
     def broadcast(self, sender_id: int, message) -> FrozenSet[int]:
         sender = self.nodes[sender_id]
         if not sender.alive:
             return frozenset()
-        self._charge_transmit(sender)
         receivers = self.alive_in_range(sender_id)
-        if receivers:
-            self._schedule_delivery(sender_id, receivers, message)
-        self._after_transmit(sender)
+        self._transmit(sender, receivers, message)
         return frozenset(receivers)
 
     def unicast(self, sender_id: int, next_hop: int, message) -> bool:
@@ -180,13 +179,10 @@ class Simulator:
         sender = self.nodes[sender_id]
         if not sender.alive:
             return False
-        self._charge_transmit(sender)
         target = self.nodes.get(next_hop)
         ok = (target is not None and target.alive
               and distance(sender.pos, target.pos) <= self.config.tx_range_m)
-        if ok:
-            self._schedule_delivery(sender_id, (next_hop,), message)
-        self._after_transmit(sender)
+        self._transmit(sender, (next_hop,) if ok else (), message)
         return ok
 
     def _schedule_delivery(self, sender_id: int, receivers: Sequence[int], message) -> None:

@@ -1,10 +1,12 @@
 """Per-node clustering state machine.
 
-Two protocol modes share the machinery:
-  - cbrp:  lowest-id election, no secondary head; head loss forces the whole
-           cluster back through the undecided formation procedure.
-  - ecbrp: lowest-weight election with a pre-announced secondary head that is
-           promoted in place when the head fails.
+Two protocol modes share the machinery and differ in exactly two decisions:
+  - election_weight: an ecbrp node advertises its weight and the lowest one
+    wins; a cbrp node advertises none, so every election falls to the lowest id.
+  - _reelect_secondary: only an ecbrp head designates a secondary head.
+Everything else follows from the data. A member that knows a secondary when
+its head fails promotes or re-homes to it in place; one that knows none (every
+cbrp node) sends the cluster back through the undecided formation procedure.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ _HANDLERS = {
     RouteReply: "_on_rrep",
     DataPacket: "_on_data",
 }
+
+
+def _rank(weight: Optional[float], node_id: int) -> Tuple[float, int]:
+    """Election order: lower weight first, ties to the lower id. A missing
+    weight ranks last (0.0 is a legal weight), so with no weights at all the
+    order is id order."""
+    return (float("inf") if weight is None else weight, node_id)
 
 
 class Node:
@@ -124,15 +133,16 @@ class Node:
     def weight_now(self, fresh: Optional[List[Hello]] = None) -> float:
         return combined_weight(self.weight_components(fresh), self.factors)
 
+    def election_weight(self, fresh: Optional[List[Hello]] = None) -> Optional[float]:
+        """The weight this node stands for election with: None in cbrp."""
+        return self.weight_now(fresh) if self.mode == "ecbrp" else None
+
     # -- startup and timers ------------------------------------------------
 
     def on_startup(self) -> None:
-        if not self.alive:
-            return
-        self.send_hello()
-        self._hello_timer = self.sim.schedule(
-            self.sim.now + self.sim.config.hello_interval_s, "hello", self.hello_tick)
-        self._restart_undecided_timer()
+        if self.alive:
+            self.hello_tick()
+            self._restart_undecided_timer()
 
     def _restart_undecided_timer(self) -> None:
         self._cancel_undecided_timer()
@@ -155,7 +165,7 @@ class Node:
     def build_hello(self) -> Hello:
         # Weight is recomputed immediately before every broadcast.
         fresh = self.fresh_neighbors()
-        weight = self.weight_now(fresh) if self.mode == "ecbrp" else None
+        weight = self.election_weight(fresh)
         self.last_advertised_weight = weight
         one_hop = frozenset([h.sender_id for h in fresh])
         secondary = self.my_secondary if self.role == ROLE_HEAD else self.cluster_secondary
@@ -223,25 +233,16 @@ class Node:
                 self.member_ids.discard(sender_id)
 
     def _head_contention(self, hello: Hello, sender_id: int) -> None:
-        if self.mode == "ecbrp":
-            # Compare advertised weights on both sides so the two heads reach
-            # opposite verdicts and exactly one of them demotes.
-            mine_w = (self.last_advertised_weight
-                      if self.last_advertised_weight is not None else self.weight_now())
-            mine = (mine_w, self.node_id)
-            theirs = (hello.sender_weight, sender_id)
-        else:
-            mine = (self.node_id,)
-            theirs = (sender_id,)
-        if theirs < mine:
-            self._demote_to_member_of(sender_id)
-
-    def _demote_to_member_of(self, winner_id: int) -> None:
-        self._stop_heading()
-        self.role = ROLE_MEMBER
-        self.head_id = winner_id
-        entry = self.neighbors.get(winner_id)
-        self.cluster_secondary = entry.secondary_id if entry else None
+        # Compare advertised weights on both sides so the two heads reach
+        # opposite verdicts and exactly one of them demotes.
+        mine = self.last_advertised_weight
+        if mine is None:
+            mine = self.election_weight()
+        if _rank(hello.sender_weight, sender_id) < _rank(mine, self.node_id):
+            self._stop_heading()
+            self.role = ROLE_MEMBER
+            self.head_id = sender_id
+            self.cluster_secondary = hello.secondary_id
 
     def _stop_heading(self) -> None:
         if self._ch_since is not None:
@@ -268,12 +269,7 @@ class Node:
     def _best_head_entry(self, exclude: Optional[int] = None) -> Optional[Hello]:
         candidates = [e for e in self.current_degree_entries()
                       if e.sender_role == ROLE_HEAD and e.sender_id != exclude]
-        if not candidates:
-            return None
-        if self.mode == "ecbrp":
-            return min(candidates, key=lambda e: (e.sender_weight if e.sender_weight is not None
-                                                  else float("inf"), e.sender_id))
-        return min(candidates, key=lambda e: e.sender_id)
+        return min(candidates, key=lambda e: _rank(e.sender_weight, e.sender_id), default=None)
 
     def _join_evaluate(self) -> None:
         self._join_eval_scheduled = False
@@ -309,13 +305,8 @@ class Node:
             self._restart_undecided_timer()
             return
         competitors = [e for e in entries if e.sender_role == ROLE_UNDECIDED]
-        if self.mode == "ecbrp":
-            mine = (self.weight_now(), self.node_id)
-            beaten = any((e.sender_weight if e.sender_weight is not None else float("inf"),
-                          e.sender_id) < mine for e in competitors)
-        else:
-            beaten = any(e.sender_id < self.node_id for e in competitors)
-        if beaten:
+        mine = _rank(self.election_weight(), self.node_id)
+        if any(_rank(e.sender_weight, e.sender_id) < mine for e in competitors):
             self._restart_undecided_timer()
         else:
             beaten_weights = tuple(sorted(e.sender_weight for e in competitors
@@ -332,8 +323,9 @@ class Node:
         self._ch_since = self.sim.now
         self.sim.metrics.head_changes += 1
         if self.sim.trace is not None:  # the weight is computed for the record only
+            weight = self.election_weight()
             self.sim.record("election", self.node_id,
-                            self.weight_now() if self.mode == "ecbrp" else float(self.node_id),
+                            float(self.node_id) if weight is None else weight,
                             contested_weights)
         self.send_hello()
 
@@ -349,11 +341,9 @@ class Node:
             return
         candidates = [e for e in self.fresh_neighbors() if e.sender_id in self.member_ids]
         if not candidates:
-            if self.my_secondary is not None:
-                self.my_secondary = None
+            self.my_secondary = None
             return
-        best = min(candidates, key=lambda e: (e.sender_weight if e.sender_weight is not None
-                                              else float("inf"), e.sender_id))
+        best = min(candidates, key=lambda e: _rank(e.sender_weight, e.sender_id))
         if best.sender_id != self.my_secondary:
             if self.sim.now - self._last_secondary_announce < self.sim.config.hello_interval_s:
                 return
@@ -379,18 +369,17 @@ class Node:
             self._reelect_secondary()
 
     def on_head_failure(self, failed_head_id: int) -> None:
-        if self.mode == "ecbrp":
-            secondary = self.cluster_secondary
-            if secondary is None:
-                secondary = self.known_secondaries.get(failed_head_id)
-            if secondary == self.node_id:
-                # Promotion in place: the cluster re-labels to the new head's id.
-                self.become_head()
-                return
-            if secondary is not None and secondary in self.neighbors:
-                self.head_id = secondary
-                self.cluster_secondary = None
-                return
+        secondary = self.cluster_secondary
+        if secondary is None:
+            secondary = self.known_secondaries.get(failed_head_id)
+        if secondary == self.node_id:
+            # Promotion in place: the cluster re-labels to the new head's id.
+            self.become_head()
+            return
+        if secondary is not None and secondary in self.neighbors:
+            self.head_id = secondary
+            self.cluster_secondary = None
+            return
         self.revert_undecided()
 
     def revert_undecided(self) -> None:

@@ -221,7 +221,7 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
     route = packet.route
     after = route[i + 2] if i + 2 < len(route) else None
 
-    if sim.config.protocol_mode == "ecbrp" and failed_next != packet.dest_id:
+    if failed_next != packet.dest_id:
         substitute = _secondary_for(node, failed_next)
         if (substitute is not None and substitute not in route
                 and substitute not in tried

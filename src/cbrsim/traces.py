@@ -8,6 +8,7 @@ from typing import Dict, Optional
 
 from .config import ScenarioConfig
 from .engine import Simulator
+from .experiment import run_scenario
 from .geometry import Position
 from .metrics import RunMetrics
 from .scenario import build_simulation
@@ -73,6 +74,4 @@ def stress_config(mode: str, seed: int) -> ScenarioConfig:
 
 
 def run_stress(mode: str, seed: int) -> RunMetrics:
-    config = stress_config(mode, seed)
-    sim = build_simulation(config)
-    return sim.run_until(config.duration_s)
+    return run_scenario(stress_config(mode, seed))

@@ -2,12 +2,13 @@
 failover, and neighbor-table maintenance."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cbrsim import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig
 from cbrsim.engine import Simulator
 from cbrsim.geometry import Position
 from cbrsim.messages import Hello, SecondaryAnnounce
-from cbrsim.node import Node
+from cbrsim.node import Node, _rank
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import stress_config
 
@@ -122,6 +123,21 @@ def test_cbrp_elects_lowest_id():
     sim.run_until(5.0)
     assert sim.nodes[2].role == ROLE_HEAD
     assert sim.nodes[5].head_id == 2 and sim.nodes[8].head_id == 2
+
+
+@given(st.lists(st.tuples(st.none() | st.floats(allow_nan=False, allow_infinity=False),
+                          st.integers(0, 1000)), unique_by=lambda e: e[1]))
+def test_rank_is_weight_then_id_order_and_id_order_without_weights(entries):
+    # Weighted entries sort as the plain (weight, id) tuples; with every
+    # weight missing (cbrp) the order is id order; a missing weight ranks
+    # after every advertised one, 0.0 included.
+    weighted = [e for e in entries if e[0] is not None]
+    assert sorted(weighted, key=lambda e: _rank(*e)) == sorted(weighted)
+    ids = [node_id for _, node_id in entries]
+    assert sorted(ids, key=lambda i: _rank(None, i)) == sorted(ids)
+    for weight, node_id in weighted:
+        assert _rank(weight, node_id) < _rank(None, 0)
+    assert _rank(0.0, 9) < _rank(None, 1)
 
 
 def test_isolated_node_stays_undecided_and_repeats():
