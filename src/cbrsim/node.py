@@ -4,9 +4,10 @@ Two protocol modes share the machinery and differ in exactly two decisions:
   - election_weight: an ecbrp node advertises its weight and the lowest one
     wins; a cbrp node advertises none, so every election falls to the lowest id.
   - _reelect_secondary: only an ecbrp head designates a secondary head.
-Everything else follows from the data. A member that knows a secondary when
-its head fails promotes or re-homes to it in place; one that knows none (every
-cbrp node) sends the cluster back through the undecided formation procedure.
+Everything else follows from the data. When its head fails, a member that
+knows the cluster's secondary promotes itself (if it is the secondary) or
+re-homes to it (if it hears it); otherwise, and so always in cbrp, it goes
+back through the undecided formation procedure.
 """
 
 from __future__ import annotations
