@@ -232,9 +232,11 @@ def _brute_force_in_range(sim, node_id):
                  and distance(me.pos, other.pos) <= sim.config.tx_range_m)
 
 
-def _assert_query_matches_brute_force(sim):
+def _assert_query_matches_brute_force(sim, order=None):
+    """Query every node, in `order` if given, and compare with the scan."""
     expected = {nid: _brute_force_in_range(sim, nid) for nid in sim.nodes}
-    assert {nid: sim.alive_in_range(nid) for nid in sim.nodes} == expected
+    order = sim.nodes if order is None else order
+    assert {nid: sim.alive_in_range(nid) for nid in order} == expected
 
 
 @pytest.mark.parametrize("tx_range, a, b", [
@@ -290,13 +292,21 @@ def test_grid_query_equals_brute_force_scan(data):
         add_node(sim, nid, *placed[-1])
     for nid in data.draw(st.lists(st.sampled_from(ids), max_size=len(ids) // 2)):
         sim.mark_dead(nid)
-    _assert_query_matches_brute_force(sim)
+    # Dead nodes are queried too; the order of the queries does not matter.
+    _assert_query_matches_brute_force(sim, data.draw(st.permutations(ids)))
 
     moved = data.draw(st.sampled_from(ids))
     sim.nodes[moved].pos = Position(*_draw_point(data, tx_range, placed))
     add_node(sim, 1000, *_draw_point(data, tx_range, placed))
     sim.invalidate_neighbors()
     _assert_query_matches_brute_force(sim)
+
+    # A death between two queries of one topology: the later queries, the
+    # victim's own included, no longer see the victim.
+    sim.invalidate_neighbors()
+    sim.alive_in_range(data.draw(st.sampled_from(ids)))
+    sim.mark_dead(data.draw(st.sampled_from(ids)))
+    _assert_query_matches_brute_force(sim, data.draw(st.permutations(list(sim.nodes))))
 
 
 def test_empty_simulation_yields_zero_metrics():
