@@ -8,8 +8,9 @@ trace and identical metrics.
 The queue is a heap of (fire_time, seq, Event) tuples; seq is unique, so ties
 in time fire in scheduling order and two Events are never compared. One
 transmission is one "deliver" event that hands the message to its receivers
-in order. The neighbour query reads a uniform grid of alive nodes, rebuilt
-lazily after each invalidate_neighbors().
+in order. Between two invalidate_neighbors() calls the topology is fixed, and
+the first neighbour query builds every node's receivers at once: one sweep of
+a uniform grid tests each pair of nodes once.
 """
 
 from __future__ import annotations
@@ -69,10 +70,9 @@ class Simulator:
         # Opt-in record stream: set to [] before running to collect
         # (time, kind, *fields) tuples; None records nothing.
         self.trace: Optional[List[tuple]] = None
+        # node id -> its alive_in_range result; filled for every node at
+        # once by the first query after invalidate_neighbors().
         self._nbr_cache: Dict[int, Tuple[int, ...]] = {}
-        # cell -> [(insertion rank, node id, x, y)] of alive nodes; None
-        # until the first neighbour query after invalidate_neighbors().
-        self._grid: Optional[Dict[Tuple[int, int], List[tuple]]] = None
         # Cells a hair wider than the radio range, so that any pair the range
         # test accepts is at most one cell apart on each axis. Exactly
         # tx_range_m would not do: at 64 m the rounded difference
@@ -115,44 +115,49 @@ class Simulator:
     # -- radio -------------------------------------------------------------
 
     def invalidate_neighbors(self) -> None:
-        """Forget neighbour results; call after any node moves, dies or joins."""
+        """Forget the neighbour table; call after any node moves, dies or joins."""
         self._nbr_cache.clear()
-        self._grid = None
-
-    def _build_grid(self) -> Dict[Tuple[int, int], List[tuple]]:
-        cell_m = self._cell_m
-        grid: Dict[Tuple[int, int], List[tuple]] = {}
-        for rank, (node_id, node) in enumerate(self.nodes.items()):
-            if node.alive:
-                x, y = node.pos.x, node.pos.y
-                grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(
-                    (rank, node_id, x, y))
-        return grid
 
     def alive_in_range(self, node_id: int) -> Tuple[int, ...]:
         """Alive nodes within radio range of node_id (excluding itself), in
-        self.nodes order, by geometry.distance's range test. Only the 3x3
-        block of grid cells around node_id's cell can hold them."""
-        cached = self._nbr_cache.get(node_id)
-        if cached is not None:
-            return cached
-        grid = self._grid
-        if grid is None:
-            grid = self._grid = self._build_grid()
-        pos = self.nodes[node_id].pos
-        x, y = pos.x, pos.y
-        cx, cy = int(x // self._cell_m), int(y // self._cell_m)
-        tx_range, hypot = self.config.tx_range_m, math.hypot
-        found = []
-        for gx in (cx - 1, cx, cx + 1):
-            for gy in (cy - 1, cy, cy + 1):
-                for rank, other_id, ox, oy in grid.get((gx, gy), ()):
-                    if hypot(x - ox, y - oy) <= tx_range and other_id != node_id:
-                        found.append((rank, other_id))
-        found.sort()
-        result = tuple(other_id for _, other_id in found)
-        self._nbr_cache[node_id] = result
-        return result
+        self.nodes order. node_id itself may be dead."""
+        try:
+            return self._nbr_cache[node_id]
+        except KeyError:
+            self._nbr_cache = self._neighbor_table()
+            return self._nbr_cache[node_id]
+
+    def _neighbor_table(self) -> Dict[int, Tuple[int, ...]]:
+        """Every node's alive_in_range result from one sweep of a uniform
+        grid (ns-2's GridKeeper idea). Each unordered pair is tested once:
+        within a cell, and against a half stencil of four neighbour cells.
+        The range test hypot(dx, dy) <= tx_range_m gives the same answer
+        from either end. A dead node is binned like the others, so it gets
+        its receivers, but it is never entered as anyone's receiver."""
+        cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
+        ids = list(self.nodes)
+        found: List[List[int]] = [[] for _ in ids]   # rank -> ranks in range
+        grid: Dict[Tuple[int, int], List[tuple]] = {}
+        for rank, node in enumerate(self.nodes.values()):
+            x, y = node.pos.x, node.pos.y
+            grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(
+                (rank, x, y, node.alive))
+        for (cx, cy), cell in grid.items():
+            stencil = [grid.get(key, ()) for key in
+                       ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))]
+            for i, (a, ax, ay, a_alive) in enumerate(cell):
+                for others in (cell[i + 1:], *stencil):
+                    for b, bx, by, b_alive in others:
+                        if hypot(ax - bx, ay - by) <= tx_range:
+                            if b_alive:
+                                found[a].append(b)
+                            if a_alive:
+                                found[b].append(a)
+        table = {}
+        for node_id, ranks in zip(ids, found):
+            ranks.sort()
+            table[node_id] = tuple([ids[r] for r in ranks])
+        return table
 
     def _transmit(self, sender, receivers: Sequence[int], message) -> None:
         """One transmission: charge the sender (a head pays the head cost

@@ -309,6 +309,21 @@ def test_grid_query_equals_brute_force_scan(data):
     _assert_query_matches_brute_force(sim, data.draw(st.permutations(list(sim.nodes))))
 
 
+def test_one_sweep_serves_every_query_until_the_next_invalidation():
+    sim = bare_sim()
+    for nid, x in ((0, 0.0), (1, 50.0), (2, 100.0)):
+        add_node(sim, nid, x, 0.0)
+    sweeps = []
+    sweep = sim._neighbor_table
+    sim._neighbor_table = lambda: sweeps.append(sim.now) or sweep()
+    sim.invalidate_neighbors()
+    assert [sim.alive_in_range(nid) for nid in sim.nodes] == [(1,), (0, 2), (1,)]
+    assert len(sweeps) == 1
+    sim.mark_dead(1)   # invalidates; the dead node is still a querier
+    assert [sim.alive_in_range(nid) for nid in (2, 1, 0)] == [(), (0, 2), ()]
+    assert len(sweeps) == 2
+
+
 def test_empty_simulation_yields_zero_metrics():
     sim = bare_sim()
     metrics = sim.run_until(10.0)
