@@ -64,7 +64,9 @@ def render_snapshot(sim: Simulator, range_circles: bool = False,
             f'data-role="{node.role}"/>')
         label = str(node.node_id)
         if (weight_labels or node.node_id == highlight) and node.alive:
-            label += f" w={node.weight_now():.2f}"
+            weight = node.election_weight()   # None in cbrp: no label
+            if weight is not None:
+                label += f" w={weight:.2f}"
         parts.append(
             f'<text x="{sx(node.pos.x) + 7:.1f}" y="{sy(node.pos.y) - 7:.1f}" '
             f'font-size="9" fill="#444444">{label}</text>')

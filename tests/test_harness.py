@@ -2,10 +2,15 @@
 and the command line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cbrsim
 from cbrsim import (ConfigError, RunMetrics, ScenarioConfig, load_config_file,
                     pdr, run_scenario, run_scenario_sim, sweep, sweep_to_csv,
                     write_sweep_csv)
@@ -215,6 +220,16 @@ def test_snapshot_highlight_draws_range_circle_and_weight():
     assert "w=" in svg
 
 
+def test_snapshot_highlight_in_cbrp_draws_range_circle_without_weight():
+    # cbrp elects by id and advertises no weight, so the label is the bare id.
+    sim = static_sim({5: (0, 0), 7: (10, 0), 9: (25, 0)}, mode="cbrp")
+    sim.run_until(6.0)
+    svg = render_snapshot(sim, weight_labels=True, highlight=7)
+    assert svg.count('stroke-dasharray') == 1
+    assert "w=" not in svg
+    assert ">7</text>" in svg
+
+
 def test_snapshot_unwritable_path_raises_descriptive_oserror():
     sim = static_sim({0: (0, 0), 1: (40, 0)})
     with pytest.raises(OSError, match="no/such/dir"):
@@ -261,6 +276,16 @@ def test_cli_trace_passes(capsys):
     assert hop_lines
     assert all(re.fullmatch(r"  t= *\d+\.\d{3} packet=\d+ \d+->\d+", line)
                for line in hop_lines), hop_lines[:3]
+
+
+def test_python_m_cbrsim_runs_from_a_checkout():
+    # No install: the package is found through PYTHONPATH alone.
+    src = Path(cbrsim.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cbrsim", "trace"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("PASS") == 2
 
 
 def test_cli_config_error_exits_2(capsys):
