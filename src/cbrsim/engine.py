@@ -131,9 +131,10 @@ class Simulator:
         """Every node's alive_in_range result from one sweep of a uniform
         grid (ns-2's GridKeeper idea). Each unordered pair is tested once:
         within a cell, and against a half stencil of four neighbour cells.
-        The range test hypot(dx, dy) <= tx_range_m gives the same answer
-        from either end. A dead node is binned like the others, so it gets
-        its receivers, but it is never entered as anyone's receiver."""
+        The range test is geometry.distance's, hypot(dx, dy) <= tx_range_m,
+        which gives the same answer from either end. A dead node is swept
+        too, so it gets its receivers, but it is never entered as anyone's
+        receiver, and two dead nodes are never tested."""
         cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
         ids = list(self.nodes)
         found: List[List[int]] = [[] for _ in ids]   # rank -> ranks in range
@@ -141,18 +142,21 @@ class Simulator:
         for rank, node in enumerate(self.nodes.values()):
             x, y = node.pos.x, node.pos.y
             grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(
-                (rank, x, y, node.alive))
+                (not node.alive, rank, x, y))
+        for cell in grid.values():
+            cell.sort()   # alive first: a dead node's later cell-mates are dead too
         for (cx, cy), cell in grid.items():
-            stencil = [grid.get(key, ()) for key in
-                       ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))]
-            for i, (a, ax, ay, a_alive) in enumerate(cell):
-                for others in (cell[i + 1:], *stencil):
-                    for b, bx, by, b_alive in others:
-                        if hypot(ax - bx, ay - by) <= tx_range:
-                            if b_alive:
-                                found[a].append(b)
-                            if a_alive:
-                                found[b].append(a)
+            near = [entry
+                    for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
+                    for entry in grid.get(key, ())]
+            near_alive = [entry for entry in near if not entry[0]]
+            for i, (a_dead, a, ax, ay) in enumerate(cell):
+                for b_dead, b, bx, by in (near_alive if a_dead else cell[i + 1:] + near):
+                    if hypot(ax - bx, ay - by) <= tx_range:
+                        if not b_dead:
+                            found[a].append(b)
+                        if not a_dead:
+                            found[b].append(a)
         table = {}
         for node_id, ranks in zip(ids, found):
             ranks.sort()
