@@ -10,7 +10,8 @@ in time fire in scheduling order and two Events are never compared. One
 transmission is one "deliver" event that hands the message to its receivers
 in order. Between two invalidate_neighbors() calls the topology is fixed, and
 the first neighbour query builds every node's receivers at once: one sweep of
-a uniform grid tests each pair of nodes once.
+a uniform grid tests each pair of nodes once. A dead node may still be
+queried; the same sweep gives it its receivers but never makes it one.
 """
 
 from __future__ import annotations
