@@ -356,3 +356,37 @@ def test_cbrp_advertises_no_weight_and_no_secondary(monkeypatch, config):
     for n in sim.nodes.values():
         assert not n.known_secondaries
         assert n.cluster_secondary is None and n.my_secondary is None
+
+
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hello_advertises_the_senders_cluster_and_secondary(monkeypatch, mode, seed):
+    # What a HELLO says of its sender's cluster, through elections, joins,
+    # contention and head deaths: a head names itself, a member its head, an
+    # undecided node no cluster and no secondary; a head's secondary is one
+    # of its members.
+    sent = []
+    original = Node.build_hello
+
+    def checked(self):
+        hello = original(self)
+        sent.append((self.role, hello.secondary_id))
+        if self.role == ROLE_HEAD:
+            assert hello.cluster_id == self.node_id
+            assert hello.secondary_id is None or hello.secondary_id in self.member_ids
+        elif self.role == ROLE_MEMBER:
+            assert self.head_id is not None and hello.cluster_id == self.head_id
+        else:
+            assert self.role == ROLE_UNDECIDED
+            assert hello.cluster_id is None and hello.secondary_id is None
+        return hello
+
+    monkeypatch.setattr(Node, "build_hello", checked)
+    config = stress_config(mode, seed)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    assert {ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED} <= {role for role, _ in sent}
+    assert sim.metrics.cluster_reformations > 0
+    # Only ecbrp designates secondaries, and its heads and members advertise them.
+    advertised = {role for role, secondary in sent if secondary is not None}
+    assert advertised == ({ROLE_HEAD, ROLE_MEMBER} if mode == "ecbrp" else set())
