@@ -31,7 +31,7 @@ for node in sim.nodes.values():
     extra = ""
     if node.role == "head":
         members = sorted(node.member_ids)
-        extra = f"  members={members} secondary={node.my_secondary}"
+        extra = f"  members={members} secondary={node.secondary}"
     elif node.role == "member":
         extra = f"  cluster head={node.head_id}"
     print(f"  node {node.node_id}: {node.role:9s} weight={node.weight_now():6.2f}{extra}")

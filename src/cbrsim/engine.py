@@ -10,8 +10,8 @@ in time fire in scheduling order and two Events are never compared. One
 transmission is one "deliver" event that hands the message to its receivers
 in order. Between two invalidate_neighbors() calls the topology is fixed, and
 the first neighbour query builds every node's receivers at once: one sweep of
-a uniform grid tests each pair of nodes once. A dead node may still be
-queried; the same sweep gives it its receivers but never makes it one.
+a uniform grid tests each pair of alive nodes once. A dead node is not binned;
+its query returns (), as its radio reaches no one.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class RngStreams:
     NAMES = ("placement", "waypoints", "traffic")
 
     def __init__(self, seed: int):
-        self.seed = seed
         for name in self.NAMES:
             setattr(self, name, random.Random(f"{seed}:{name}"))
 
@@ -121,7 +120,7 @@ class Simulator:
 
     def alive_in_range(self, node_id: int) -> Tuple[int, ...]:
         """Alive nodes within radio range of node_id (excluding itself), in
-        self.nodes order. node_id itself may be dead."""
+        self.nodes order; () if node_id is dead."""
         try:
             return self._nbr_cache[node_id]
         except KeyError:
@@ -133,31 +132,25 @@ class Simulator:
         grid (ns-2's GridKeeper idea). Each unordered pair is tested once:
         within a cell, and against a half stencil of four neighbour cells.
         The range test is geometry.distance's, hypot(dx, dy) <= tx_range_m,
-        which gives the same answer from either end. A dead node is swept
-        too, so it gets its receivers, but it is never entered as anyone's
-        receiver, and two dead nodes are never tested."""
+        which gives the same answer from either end. A dead node is not
+        binned; its query returns ()."""
         cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
         ids = list(self.nodes)
         found: List[List[int]] = [[] for _ in ids]   # rank -> ranks in range
         grid: Dict[Tuple[int, int], List[tuple]] = {}
         for rank, node in enumerate(self.nodes.values()):
-            x, y = node.pos.x, node.pos.y
-            grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(
-                (not node.alive, rank, x, y))
-        for cell in grid.values():
-            cell.sort()   # alive first: a dead node's later cell-mates are dead too
+            if node.alive:
+                x, y = node.pos.x, node.pos.y
+                grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append((rank, x, y))
         for (cx, cy), cell in grid.items():
             near = [entry
                     for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
                     for entry in grid.get(key, ())]
-            near_alive = [entry for entry in near if not entry[0]]
-            for i, (a_dead, a, ax, ay) in enumerate(cell):
-                for b_dead, b, bx, by in (near_alive if a_dead else cell[i + 1:] + near):
+            for i, (a, ax, ay) in enumerate(cell):
+                for b, bx, by in cell[i + 1:] + near:
                     if hypot(ax - bx, ay - by) <= tx_range:
-                        if not b_dead:
-                            found[a].append(b)
-                        if not a_dead:
-                            found[b].append(a)
+                        found[a].append(b)
+                        found[b].append(a)
         table = {}
         for node_id, ranks in zip(ids, found):
             ranks.sort()

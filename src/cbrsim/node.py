@@ -56,8 +56,9 @@ class Node:
         self.role = ROLE_UNDECIDED
         self.head_id: Optional[int] = None
         self.member_ids: set = set()
-        self.my_secondary: Optional[int] = None          # as head
-        self.cluster_secondary: Optional[int] = None     # as member, of own cluster
+        # Own cluster's secondary: as head the one designated, as member the
+        # one last heard of; None when undecided.
+        self.secondary: Optional[int] = None
         # The neighbour table: id -> the Hello last heard from it, and id ->
         # when. Both gain and lose keys together, so they share one order.
         self.neighbors: Dict[int, Hello] = {}
@@ -80,13 +81,11 @@ class Node:
     def alive(self) -> bool:
         return self.role != ROLE_DEAD
 
-    @property
-    def cluster_id(self) -> Optional[int]:
-        if self.role == ROLE_HEAD:
-            return self.node_id
-        if self.role == ROLE_MEMBER:
-            return self.head_id
-        return None
+    def secondary_of(self, head_id: int) -> Optional[int]:
+        """The secondary of the cluster headed by head_id, if this node knows it."""
+        if head_id == self.head_id and self.secondary is not None:
+            return self.secondary
+        return self.known_secondaries.get(head_id)
 
     # The one neighbour view: every decision that depends on which neighbours
     # a node hears right now reads one of these two (the weight reads the
@@ -169,9 +168,8 @@ class Node:
         weight = self.election_weight(fresh)
         self.last_advertised_weight = weight
         one_hop = frozenset([h.sender_id for h in fresh])
-        secondary = self.my_secondary if self.role == ROLE_HEAD else self.cluster_secondary
         return Hello(self.node_id, self.role, self.pos, weight,
-                     self.cluster_id, secondary, one_hop)
+                     self.head_id, self.secondary, one_hop)
 
     def send_hello(self) -> None:
         self.sim.broadcast(self.node_id, self.build_hello())
@@ -243,19 +241,19 @@ class Node:
             self._stop_heading()
             self.role = ROLE_MEMBER
             self.head_id = sender_id
-            self.cluster_secondary = hello.secondary_id
+            self.secondary = hello.secondary_id
 
     def _stop_heading(self) -> None:
         if self._ch_since is not None:
             self.ch_accum_s += self.sim.now - self._ch_since
             self._ch_since = None
         self.member_ids = set()
-        self.my_secondary = None
+        self.secondary = None
 
     def _member_on_hello(self, hello: Hello, sender_id: int) -> None:
         if sender_id == self.head_id:
             if hello.sender_role == ROLE_HEAD:
-                self.cluster_secondary = hello.secondary_id
+                self.secondary = hello.secondary_id
             else:
                 # Our head stepped down (lost contention); re-home or reform.
                 self._rehome(exclude=sender_id)
@@ -286,7 +284,7 @@ class Node:
             self._stop_heading()
         self.role = ROLE_MEMBER
         self.head_id = entry.sender_id
-        self.cluster_secondary = entry.secondary_id
+        self.secondary = entry.secondary_id
         self.sim.record("join", self.node_id, entry.sender_id, entry.sender_weight)
         if was_undecided:
             self._cancel_undecided_timer()
@@ -318,9 +316,8 @@ class Node:
         self._cancel_undecided_timer()
         self.role = ROLE_HEAD
         self.head_id = self.node_id
-        self.cluster_secondary = None
+        self.secondary = None
         self.member_ids = set()
-        self.my_secondary = None
         self._ch_since = self.sim.now
         self.sim.metrics.head_changes += 1
         if self.sim.trace is not None:  # the weight is computed for the record only
@@ -335,20 +332,20 @@ class Node:
     def on_secondary_announce(self, msg: SecondaryAnnounce, sender_id: int) -> None:
         self.known_secondaries[msg.head_id] = msg.secondary_id
         if self.role == ROLE_MEMBER and self.head_id == msg.head_id:
-            self.cluster_secondary = msg.secondary_id
+            self.secondary = msg.secondary_id
 
     def _reelect_secondary(self) -> None:
         if self.mode != "ecbrp" or self.role != ROLE_HEAD:
             return
         candidates = [e for e in self.fresh_neighbors() if e.sender_id in self.member_ids]
         if not candidates:
-            self.my_secondary = None
+            self.secondary = None
             return
         best = min(candidates, key=lambda e: _rank(e.sender_weight, e.sender_id))
-        if best.sender_id != self.my_secondary:
+        if best.sender_id != self.secondary:
             if self.sim.now - self._last_secondary_announce < self.sim.config.hello_interval_s:
                 return
-            self.my_secondary = best.sender_id
+            self.secondary = best.sender_id
             self._last_secondary_announce = self.sim.now
             self.sim.broadcast(self.node_id, SecondaryAnnounce(self.node_id, best.sender_id))
 
@@ -370,16 +367,14 @@ class Node:
             self._reelect_secondary()
 
     def on_head_failure(self, failed_head_id: int) -> None:
-        secondary = self.cluster_secondary
-        if secondary is None:
-            secondary = self.known_secondaries.get(failed_head_id)
+        secondary = self.secondary_of(failed_head_id)
         if secondary == self.node_id:
             # Promotion in place: the cluster re-labels to the new head's id.
             self.become_head()
             return
         if secondary is not None and secondary in self.neighbors:
             self.head_id = secondary
-            self.cluster_secondary = None
+            self.secondary = None
             return
         self.revert_undecided()
 
@@ -389,7 +384,7 @@ class Node:
             self._stop_heading()
         self.role = ROLE_UNDECIDED
         self.head_id = None
-        self.cluster_secondary = None
+        self.secondary = None
         if was_decided:
             self.sim.metrics.cluster_reformations += 1
         self._restart_undecided_timer()

@@ -222,7 +222,7 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
     after = route[i + 2] if i + 2 < len(route) else None
 
     if failed_next != packet.dest_id:
-        substitute = _secondary_for(node, failed_next)
+        substitute = node.secondary_of(failed_next)
         if (substitute is not None and substitute not in route
                 and substitute not in tried
                 and any(e.sender_id == substitute for e in node.fresh_neighbors())):
@@ -239,13 +239,6 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
 
     sim.account_dropped(packet.packet_id, "route-error")
     _report_route_error(sim, packet)
-
-
-def _secondary_for(node, failed_id: int) -> Optional[int]:
-    """The secondary of the cluster headed by failed_id, if this node knows it."""
-    if node.head_id == failed_id and node.cluster_secondary is not None:
-        return node.cluster_secondary
-    return node.known_secondaries.get(failed_id)
 
 
 def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> Optional[int]:

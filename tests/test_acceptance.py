@@ -140,8 +140,8 @@ def test_criterion_4_static_cluster_invariants():
                     violations.append(f"trial {trial}: heads {a.node_id},"
                                       f"{b.node_id} in mutual range")
         for h in heads:
-            if h.my_secondary is not None and h.my_secondary not in h.member_ids:
-                violations.append(f"trial {trial}: secondary {h.my_secondary} "
+            if h.secondary is not None and h.secondary not in h.member_ids:
+                violations.append(f"trial {trial}: secondary {h.secondary} "
                                   f"not a member of cluster {h.node_id}")
         for _t, head_id, weight, contested in sim.records("election"):
             if any(weight > w for w in contested):

@@ -105,9 +105,9 @@ def test_three_node_weighted_election():
     assert sim.nodes[5].role == ROLE_MEMBER and sim.nodes[5].head_id == 7
     assert sim.nodes[9].role == ROLE_MEMBER and sim.nodes[9].head_id == 7
     # Next-smallest weight becomes the announced secondary.
-    assert sim.nodes[7].my_secondary == 5
-    assert sim.nodes[5].cluster_secondary == 5
-    assert sim.nodes[9].cluster_secondary == 5
+    assert sim.nodes[7].secondary == 5
+    assert sim.nodes[5].secondary == 5
+    assert sim.nodes[9].secondary == 5
 
 
 def test_equal_weights_break_ties_by_lower_id():
@@ -214,7 +214,7 @@ def test_secondary_is_lowest_weight_member():
     add_neighbor(head, 5, 10, 0, cluster=0, weight=2.0)
     add_neighbor(head, 9, 0, 10, cluster=0, weight=3.0)
     head._reelect_secondary()
-    assert head.my_secondary == 5
+    assert head.secondary == 5
 
 
 def test_secondary_tie_resolved_by_lower_id():
@@ -225,7 +225,7 @@ def test_secondary_tie_resolved_by_lower_id():
     add_neighbor(head, 5, 10, 0, cluster=0, weight=2.0)
     add_neighbor(head, 9, 0, 10, cluster=0, weight=2.0)
     head._reelect_secondary()
-    assert head.my_secondary == 5
+    assert head.secondary == 5
 
 
 def test_single_node_cluster_has_no_secondary():
@@ -233,7 +233,7 @@ def test_single_node_cluster_has_no_secondary():
     head = add_node(sim, 0, 0.0, 0.0)
     head.become_head()
     head._reelect_secondary()
-    assert head.my_secondary is None
+    assert head.secondary is None
 
 
 # -- failover ---------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_head_death_with_live_secondary_avoids_undecided():
     sim = _failover_sim("ecbrp")
     sim.run_until(5.5)
     assert sim.nodes[0].role == ROLE_HEAD  # sanity: 0 had won the election
-    secondary = sim.nodes[0].my_secondary
+    secondary = sim.nodes[0].secondary
     assert secondary == 2                  # smallest distance sum among members
     sim.run_until(15.0)
     assert sim.metrics.cluster_reformations == 0
@@ -355,7 +355,7 @@ def test_cbrp_advertises_no_weight_and_no_secondary(monkeypatch, config):
     assert sim.metrics.cluster_reformations > 0 and sim.metrics.packets_sent > 0
     for n in sim.nodes.values():
         assert not n.known_secondaries
-        assert n.cluster_secondary is None and n.my_secondary is None
+        assert n.secondary is None
 
 
 @pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])

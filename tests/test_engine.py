@@ -225,8 +225,10 @@ def test_positive_propagation_delay_delivers_at_now_plus_delay():
 
 def _brute_force_in_range(sim, node_id):
     """The reference scan: every other alive node, in self.nodes order, that
-    geometry.distance puts within radio range."""
+    geometry.distance puts within radio range; nothing for a dead node."""
     me = sim.nodes[node_id]
+    if not me.alive:
+        return ()
     return tuple(other_id for other_id, other in sim.nodes.items()
                  if other_id != node_id and other.alive
                  and distance(me.pos, other.pos) <= sim.config.tx_range_m)
@@ -320,7 +322,7 @@ def test_one_sweep_serves_every_query_until_the_next_invalidation():
     assert [sim.alive_in_range(nid) for nid in sim.nodes] == [(1,), (0, 2), (1,)]
     assert len(sweeps) == 1
     sim.mark_dead(1)   # invalidates; the dead node is still a querier
-    assert [sim.alive_in_range(nid) for nid in (2, 1, 0)] == [(), (0, 2), ()]
+    assert [sim.alive_in_range(nid) for nid in (2, 1, 0)] == [(), (), ()]
     assert len(sweeps) == 2
 
 
