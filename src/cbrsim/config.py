@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 
@@ -138,7 +138,7 @@ def _parse_value(key: str, raw: str):
 
 def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
     """Parse a flat key=value file, one key per line; '#' starts a comment."""
-    config = base if base is not None else ScenarioConfig()
+    config = replace(base) if base is not None else ScenarioConfig()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()

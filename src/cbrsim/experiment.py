@@ -81,6 +81,9 @@ def sweep(node_counts: Sequence[int], modes: Sequence[str], replicates: int,
     for name, values in (("node_counts", node_counts), ("modes", modes)):
         if len(set(values)) != len(values):
             raise ValueError(f"{name} repeats a value: {list(values)}")
+    for n in node_counts:
+        for mode in modes:
+            replace(base_config, node_count=n, protocol_mode=mode).validate()
     result = SweepResult()
     for n in node_counts:
         for mode in modes:

@@ -103,6 +103,16 @@ def test_sweep_rejects_repeated_value_before_any_run(counts, modes, monkeypatch)
         sweep(counts, modes, 1, tiny_config())
 
 
+def test_sweep_rejects_an_invalid_cell_before_any_run(monkeypatch):
+    # Routing needs two nodes: the cell with one would fail only after the
+    # cells before it had run.
+    def no_run(config):
+        raise AssertionError("a run started before every cell's config was checked")
+    monkeypatch.setattr("cbrsim.experiment.run_scenario", no_run)
+    with pytest.raises(ConfigError, match="node_count"):
+        sweep([5, 30, 1], ["cbrp", "ecbrp"], 2, tiny_config())
+
+
 # -- CSV --------------------------------------------------------------------
 
 def test_csv_layout_and_mean_rows():
@@ -168,6 +178,15 @@ def test_config_file_parsing(tmp_path):
     assert config.route_cache is True
     assert config.flows is None
     assert config.node_speed_mps == 12.5
+
+
+def test_config_file_leaves_the_base_config_unchanged(tmp_path):
+    path = tmp_path / "scenario.conf"
+    path.write_text("node_count = 7\n")
+    base = ScenarioConfig(seed=9)
+    config = load_config_file(str(path), base)
+    assert base == ScenarioConfig(seed=9)
+    assert config.node_count == 7 and config.seed == 9
 
 
 def test_config_file_unknown_key_names_offender(tmp_path):
