@@ -248,7 +248,6 @@ class Node:
             self.ch_accum_s += self.sim.now - self._ch_since
             self._ch_since = None
         self.member_ids = set()
-        self.secondary = None
 
     def _member_on_hello(self, hello: Hello, sender_id: int) -> None:
         if sender_id == self.head_id:
