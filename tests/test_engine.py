@@ -311,6 +311,47 @@ def test_grid_query_equals_brute_force_scan(data):
     _assert_query_matches_brute_force(sim, data.draw(st.permutations(list(sim.nodes))))
 
 
+def _moved_count(data, alive):
+    """How many of the alive nodes move in one epoch: none, one, a few,
+    most or all of them."""
+    n = len(alive)
+    return data.draw(st.sampled_from((0, min(1, n), max(1, n // 5), n - n // 5, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_neighbour_tables_of_successive_epochs_equal_brute_force_scan(data):
+    tx_range = data.draw(st.sampled_from((80.0, 64.0, 0.3)))
+    sim = bare_sim(tx_range_m=tx_range)
+    ids = data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=30, unique=True))
+    placed = []
+    for nid in ids:
+        placed.append(_draw_point(data, tx_range, placed))
+        add_node(sim, nid, *placed[-1])
+    joined = 1000
+    for _epoch in range(data.draw(st.integers(1, 6))):
+        alive = [nid for nid, node in sim.nodes.items() if node.alive]
+        for nid in data.draw(st.permutations(alive))[:_moved_count(data, alive)]:
+            node = sim.nodes[nid]
+            if data.draw(st.booleans()):
+                placed.append(_draw_point(data, tx_range, placed))
+                node.pos = Position(*placed[-1])
+            else:   # a new Position object at the same coordinates
+                node.pos = Position(node.pos.x, node.pos.y)
+        sim.invalidate_neighbors()
+        some = data.draw(st.lists(st.sampled_from(list(sim.nodes)), max_size=3))
+        assert [sim.alive_in_range(nid) for nid in some] == [
+            _brute_force_in_range(sim, nid) for nid in some]
+        for nid in data.draw(st.lists(st.sampled_from(list(sim.nodes)), max_size=3)):
+            sim.mark_dead(nid)
+        if data.draw(st.booleans()):
+            placed.append(_draw_point(data, tx_range, placed))
+            add_node(sim, joined, *placed[-1])
+            joined += 1
+            sim.invalidate_neighbors()
+        _assert_query_matches_brute_force(sim, data.draw(st.permutations(list(sim.nodes))))
+
+
 def test_one_sweep_serves_every_query_until_the_next_invalidation():
     sim = bare_sim()
     for nid, x in ((0, 0.0), (1, 50.0), (2, 100.0)):
