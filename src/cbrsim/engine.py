@@ -9,9 +9,11 @@ The queue is a heap of (fire_time, seq, Event) tuples; seq is unique, so ties
 in time fire in scheduling order and two Events are never compared. One
 transmission is one "deliver" event that hands the message to its receivers
 in order. Between two invalidate_neighbors() calls the topology is fixed, and
-the first neighbour query builds every node's receivers at once: one sweep of
-a uniform grid tests each pair of alive nodes once. A dead node is not binned;
-its query returns (), as its radio reaches no one.
+the first neighbour query brings every node's receivers up to date at once.
+The table of the previous epoch is kept: when at most a quarter of the nodes
+moved or died since, only those are re-tested and every other row is kept;
+otherwise one sweep of a uniform grid tests each pair of alive nodes once. A
+dead node is not binned; its query returns (), as its radio reaches no one.
 """
 
 from __future__ import annotations
@@ -73,6 +75,15 @@ class Simulator:
         # node id -> its alive_in_range result; filled for every node at
         # once by the first query after invalidate_neighbors().
         self._nbr_cache: Dict[int, Tuple[int, ...]] = {}
+        # What the last neighbour table was built from, indexed by insertion
+        # rank: the node ids, each alive node's binned (rank, x, y) entry
+        # (None if dead), the grid of entries, each rank's list of ranks in
+        # range, and the table itself.
+        self._ids: List[int] = []
+        self._binned: List[Optional[tuple]] = []
+        self._grid: Dict[Tuple[int, int], List[tuple]] = {}
+        self._found: List[List[int]] = []
+        self._table: Dict[int, Tuple[int, ...]] = {}
         # Cells a hair wider than the radio range, so that any pair the range
         # test accepts is at most one cell apart on each axis. Exactly
         # tx_range_m would not do: at 64 m the rounded difference
@@ -116,7 +127,7 @@ class Simulator:
 
     def invalidate_neighbors(self) -> None:
         """Forget the neighbour table; call after any node moves, dies or joins."""
-        self._nbr_cache.clear()
+        self._nbr_cache = {}   # a fresh dict: the kept table must survive
 
     def alive_in_range(self, node_id: int) -> Tuple[int, ...]:
         """Alive nodes within radio range of node_id (excluding itself), in
@@ -128,20 +139,49 @@ class Simulator:
             return self._nbr_cache[node_id]
 
     def _neighbor_table(self) -> Dict[int, Tuple[int, ...]]:
-        """Every node's alive_in_range result from one sweep of a uniform
-        grid (ns-2's GridKeeper idea). Each unordered pair is tested once:
-        within a cell, and against a half stencil of four neighbour cells.
-        The range test is geometry.distance's, hypot(dx, dy) <= tx_range_m,
-        which gives the same answer from either end. A dead node is not
-        binned; its query returns ()."""
+        """Every node's alive_in_range result, brought up to date from the
+        table of the previous topology epoch. A node has changed if it is
+        alive and not binned at its current coordinates (compared by value,
+        not Position identity), or binned and now dead. When at most a
+        quarter of the nodes changed, _update re-tests only them and every
+        other row stays the same tuple. When more changed, or a node joined,
+        _sweep rebuilds the whole table: re-testing one node scans a 3x3
+        block of cells, while the sweep scans a half stencil per node and
+        sorts every row once, so past roughly a third to a half of the
+        nodes the sweep is the cheaper of the two."""
+        ids, nodes = list(self.nodes), list(self.nodes.values())
+        if ids != self._ids:
+            return self._sweep(ids, nodes)
+        changed = []
+        for rank, (node, entry) in enumerate(zip(nodes, self._binned)):
+            if node.alive:
+                pos = node.pos
+                if entry is None or entry[1] != pos.x or entry[2] != pos.y:
+                    changed.append(rank)
+            elif entry is not None:
+                changed.append(rank)
+        if 4 * len(changed) > len(nodes):
+            return self._sweep(ids, nodes)
+        if changed:
+            self._update(nodes, changed)
+        return self._table
+
+    def _sweep(self, ids: List[int], nodes: list) -> Dict[int, Tuple[int, ...]]:
+        """Bin every alive node into a uniform grid (ns-2's GridKeeper idea)
+        and test each unordered pair once: within a cell, and against a half
+        stencil of four neighbour cells. The range test is
+        geometry.distance's, hypot(dx, dy) <= tx_range_m, which gives the
+        same answer from either end. A dead node is not binned; its row is
+        (). Keeps what it built for the next epoch's _update."""
         cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
-        ids = list(self.nodes)
-        found: List[List[int]] = [[] for _ in ids]   # rank -> ranks in range
+        binned: List[Optional[tuple]] = [None] * len(ids)   # rank -> (rank, x, y)
+        found: List[List[int]] = [[] for _ in ids]           # rank -> ranks in range
         grid: Dict[Tuple[int, int], List[tuple]] = {}
-        for rank, node in enumerate(self.nodes.values()):
+        for rank, node in enumerate(nodes):
             if node.alive:
                 x, y = node.pos.x, node.pos.y
-                grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append((rank, x, y))
+                binned[rank] = entry = (rank, x, y)
+                grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(entry)
         for (cx, cy), cell in grid.items():
             near = [entry
                     for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
@@ -155,7 +195,50 @@ class Simulator:
         for node_id, ranks in zip(ids, found):
             ranks.sort()
             table[node_id] = tuple([ids[r] for r in ranks])
+        self._ids, self._binned, self._grid, self._found, self._table = (
+            ids, binned, grid, found, table)
         return table
+
+    def _update(self, nodes: list, changed: List[int]) -> None:
+        """Re-test only the changed ranks against the kept grid, with the
+        same range test as _sweep. Each changed node is un-binned and
+        dropped from its old neighbours' lists; an alive one is then tested
+        against the 3x3 block of cells around its new position before it is
+        binned again, so a pair of two changed nodes is tested once. Only
+        the rows this touched are sorted and rebuilt."""
+        cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
+        ids, binned, grid, found, table = (
+            self._ids, self._binned, self._grid, self._found, self._table)
+        touched = set(changed)
+        for a in changed:
+            entry = binned[a]
+            if entry is not None:
+                _, x, y = entry
+                grid[int(x // cell_m), int(y // cell_m)].remove(entry)
+                for b in found[a]:
+                    found[b].remove(a)
+                touched.update(found[a])
+                found[a] = []
+                binned[a] = None
+        for a in changed:
+            node = nodes[a]
+            if not node.alive:
+                continue
+            x, y = node.pos.x, node.pos.y
+            cx, cy = int(x // cell_m), int(y // cell_m)
+            for kx in (cx - 1, cx, cx + 1):
+                for ky in (cy - 1, cy, cy + 1):
+                    for b, bx, by in grid.get((kx, ky), ()):
+                        if hypot(x - bx, y - by) <= tx_range:
+                            found[a].append(b)
+                            found[b].append(a)
+                            touched.add(b)
+            binned[a] = entry = (a, x, y)
+            grid.setdefault((cx, cy), []).append(entry)
+        for r in touched:
+            ranks = found[r]
+            ranks.sort()
+            table[ids[r]] = tuple([ids[b] for b in ranks])
 
     def _transmit(self, sender, receivers: Sequence[int], message) -> None:
         """One transmission: charge the sender (a head pays the head cost

@@ -4,7 +4,7 @@ head-stress scenario used for paired reformation comparisons."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from .config import ScenarioConfig
 from .engine import Simulator

@@ -3,11 +3,10 @@ PASS/FAIL line with its measured numbers."""
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
-from cbrsim import (ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig,
+from cbrsim import (ROLE_HEAD, ROLE_MEMBER, ScenarioConfig,
                     run_failover_trace, run_stress, sweep, sweep_to_csv)
 from cbrsim.geometry import distance
 from cbrsim.scenario import build_simulation

@@ -352,6 +352,31 @@ def test_neighbour_tables_of_successive_epochs_equal_brute_force_scan(data):
         _assert_query_matches_brute_force(sim, data.draw(st.permutations(list(sim.nodes))))
 
 
+@pytest.mark.parametrize("change", ["death", "move"])
+def test_rows_out_of_reach_of_one_change_are_kept(change):
+    # A 6 x 6 lattice 30 m apart: every node has neighbours, so no row is
+    # the shared empty tuple.
+    sim = bare_sim()
+    for nid in range(36):
+        add_node(sim, nid, 30.0 * (nid % 6), 30.0 * (nid // 6))
+    before = {nid: sim.alive_in_range(nid) for nid in sim.nodes}
+    victim = sim.nodes[0]
+    spots = [victim.pos]
+    if change == "death":
+        sim.mark_dead(0)
+    else:
+        victim.pos = Position(20.0, 10.0)
+        spots.append(victim.pos)
+        sim.invalidate_neighbors()
+    out_of_reach = [nid for nid, node in sim.nodes.items()
+                    if all(distance(node.pos, spot) > sim.config.tx_range_m
+                           for spot in spots)]
+    assert len(out_of_reach) > 20
+    _assert_query_matches_brute_force(sim)
+    for nid in out_of_reach:
+        assert sim.alive_in_range(nid) is before[nid]
+
+
 def test_one_sweep_serves_every_query_until_the_next_invalidation():
     sim = bare_sim()
     for nid, x in ((0, 0.0), (1, 50.0), (2, 100.0)):
@@ -362,7 +387,7 @@ def test_one_sweep_serves_every_query_until_the_next_invalidation():
     sim.invalidate_neighbors()
     assert [sim.alive_in_range(nid) for nid in sim.nodes] == [(1,), (0, 2), (1,)]
     assert len(sweeps) == 1
-    sim.mark_dead(1)   # invalidates; the dead node is still a querier
+    sim.mark_dead(1)   # invalidates; the dead node's own query returns ()
     assert [sim.alive_in_range(nid) for nid in (2, 1, 0)] == [(), (), ()]
     assert len(sweeps) == 2
 

@@ -12,8 +12,7 @@ import pytest
 
 import cbrsim
 from cbrsim import (ConfigError, RunMetrics, ScenarioConfig, load_config_file,
-                    pdr, run_scenario, run_scenario_sim, sweep, sweep_to_csv,
-                    write_sweep_csv)
+                    pdr, run_scenario, sweep, sweep_to_csv, write_sweep_csv)
 from cbrsim.cli import main
 from cbrsim.experiment import CSV_COLUMNS
 from cbrsim.geometry import Position
