@@ -10,10 +10,12 @@ in time fire in scheduling order and two Events are never compared. One
 transmission is one "deliver" event that hands the message to its receivers
 in order. Between two invalidate_neighbors() calls the topology is fixed, and
 the first neighbour query brings every node's receivers up to date at once.
-The table of the previous epoch is kept: when at most a quarter of the nodes
-moved or died since, only those are re-tested and every other row is kept;
-otherwise one sweep of a uniform grid tests each pair of alive nodes once. A
-dead node is not binned; its query returns (), as its radio reaches no one.
+The table of the previous epoch is kept, with the uniform grid it was built
+from: when at most a quarter of the nodes moved or died since, only those are
+re-tested and every other row is kept. When more changed, or a node joined,
+the kept state is dropped and every alive node is re-tested from an empty
+grid; either way one loop bins the nodes and tests each pair once. A dead
+node is not binned; its query returns (), as its radio reaches no one.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class Simulator:
         # What the last neighbour table was built from, indexed by insertion
         # rank: the node ids, each alive node's binned (rank, x, y) entry
         # (None if dead), the grid of entries, each rank's list of ranks in
-        # range, and the table itself.
+        # range, and the table itself. Dropped and rebuilt from empty when a
+        # node joined or more than a quarter of the nodes changed.
         self._ids: List[int] = []
         self._binned: List[Optional[tuple]] = []
         self._grid: Dict[Tuple[int, int], List[tuple]] = {}
@@ -145,67 +148,40 @@ class Simulator:
         not Position identity), or binned and now dead. When at most a
         quarter of the nodes changed, _update re-tests only them and every
         other row stays the same tuple. When more changed, or a node joined,
-        _sweep rebuilds the whole table: re-testing one node scans a 3x3
-        block of cells, while the sweep scans a half stencil per node and
-        sorts every row once, so past roughly a third to a half of the
-        nodes the sweep is the cheaper of the two."""
+        the kept state is dropped and _update re-tests every alive node
+        against an empty grid. Each changed node that is kept must also be
+        removed from its old neighbours' lists; past about half the nodes
+        that costs more than the pairs of unchanged nodes it saves testing,
+        and the quarter leaves a margin."""
         ids, nodes = list(self.nodes), list(self.nodes.values())
-        if ids != self._ids:
-            return self._sweep(ids, nodes)
         changed = []
-        for rank, (node, entry) in enumerate(zip(nodes, self._binned)):
-            if node.alive:
-                pos = node.pos
-                if entry is None or entry[1] != pos.x or entry[2] != pos.y:
+        if ids == self._ids:
+            for rank, (node, entry) in enumerate(zip(nodes, self._binned)):
+                if node.alive:
+                    pos = node.pos
+                    if entry is None or entry[1] != pos.x or entry[2] != pos.y:
+                        changed.append(rank)
+                elif entry is not None:
                     changed.append(rank)
-            elif entry is not None:
-                changed.append(rank)
-        if 4 * len(changed) > len(nodes):
-            return self._sweep(ids, nodes)
+        if ids != self._ids or 4 * len(changed) > len(nodes):
+            self._ids, self._binned, self._grid = ids, [None] * len(ids), {}
+            self._found = [[] for _ in ids]
+            self._table = dict.fromkeys(ids, ())   # a dead node's row stays ()
+            changed = [rank for rank, node in enumerate(nodes) if node.alive]
         if changed:
             self._update(nodes, changed)
         return self._table
 
-    def _sweep(self, ids: List[int], nodes: list) -> Dict[int, Tuple[int, ...]]:
-        """Bin every alive node into a uniform grid (ns-2's GridKeeper idea)
-        and test each unordered pair once: within a cell, and against a half
-        stencil of four neighbour cells. The range test is
-        geometry.distance's, hypot(dx, dy) <= tx_range_m, which gives the
-        same answer from either end. A dead node is not binned; its row is
-        (). Keeps what it built for the next epoch's _update."""
-        cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
-        binned: List[Optional[tuple]] = [None] * len(ids)   # rank -> (rank, x, y)
-        found: List[List[int]] = [[] for _ in ids]           # rank -> ranks in range
-        grid: Dict[Tuple[int, int], List[tuple]] = {}
-        for rank, node in enumerate(nodes):
-            if node.alive:
-                x, y = node.pos.x, node.pos.y
-                binned[rank] = entry = (rank, x, y)
-                grid.setdefault((int(x // cell_m), int(y // cell_m)), []).append(entry)
-        for (cx, cy), cell in grid.items():
-            near = [entry
-                    for key in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1))
-                    for entry in grid.get(key, ())]
-            for i, (a, ax, ay) in enumerate(cell):
-                for b, bx, by in cell[i + 1:] + near:
-                    if hypot(ax - bx, ay - by) <= tx_range:
-                        found[a].append(b)
-                        found[b].append(a)
-        table = {}
-        for node_id, ranks in zip(ids, found):
-            ranks.sort()
-            table[node_id] = tuple([ids[r] for r in ranks])
-        self._ids, self._binned, self._grid, self._found, self._table = (
-            ids, binned, grid, found, table)
-        return table
-
     def _update(self, nodes: list, changed: List[int]) -> None:
-        """Re-test only the changed ranks against the kept grid, with the
-        same range test as _sweep. Each changed node is un-binned and
-        dropped from its old neighbours' lists; an alive one is then tested
-        against the 3x3 block of cells around its new position before it is
-        binned again, so a pair of two changed nodes is tested once. Only
-        the rows this touched are sorted and rebuilt."""
+        """Re-test the changed ranks against the kept grid, binning alive
+        nodes into a uniform grid (ns-2's GridKeeper idea). Each changed
+        node is un-binned and dropped from its old neighbours' lists; an
+        alive one is then tested against the 3x3 block of cells around its
+        new position before it is binned, so each pair is tested once, from
+        whichever end is binned second. The range test is
+        geometry.distance's, hypot(dx, dy) <= tx_range_m, which gives the
+        same answer from either end. Only the rows this touched are sorted
+        into insertion order and rebuilt."""
         cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
         ids, binned, grid, found, table = (
             self._ids, self._binned, self._grid, self._found, self._table)
