@@ -121,13 +121,15 @@ def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
     state.seen_rreq.add(rreq.request_id)
     if node.node_id == rreq.dest_id:
         full = rreq.recorded_path + [node.node_id]
-        sim.record("path", tuple(full))
+        if sim.trace is not None:
+            sim.record("path", tuple(full))
         _start_rrep(sim, node, rreq.request_id, full)
         return
     if node.node_id in rreq.recorded_path:
         return  # loop: a copy already passed through here
     path = rreq.recorded_path + [node.node_id]
-    sim.record("path", tuple(path))
+    if sim.trace is not None:
+        sim.record("path", tuple(path))
     if sim.config.route_cache:
         suffix = state.cached_suffix.get(rreq.dest_id)
         if suffix is not None and not set(suffix[1:]) & set(path):
