@@ -149,10 +149,10 @@ class Simulator:
         quarter of the nodes changed, _update re-tests only them and every
         other row stays the same tuple. When more changed, or a node joined,
         the kept state is dropped and _update re-tests every alive node
-        against an empty grid. Each changed node that is kept must also be
-        removed from its old neighbours' lists; past about half the nodes
-        that costs more than the pairs of unchanged nodes it saves testing,
-        and the quarter leaves a margin."""
+        against an empty grid. Keeping the table costs un-binning each
+        changed node from its old neighbours' lists; from about 40% of the
+        nodes on, that costs more than the pairs of unchanged nodes it
+        saves testing, and the quarter leaves a margin."""
         ids, nodes = list(self.nodes), list(self.nodes.values())
         changed = []
         if ids == self._ids:
@@ -173,19 +173,20 @@ class Simulator:
         return self._table
 
     def _update(self, nodes: list, changed: List[int]) -> None:
-        """Re-test the changed ranks against the kept grid, binning alive
-        nodes into a uniform grid (ns-2's GridKeeper idea). Each changed
-        node is un-binned and dropped from its old neighbours' lists; an
-        alive one is then tested against the 3x3 block of cells around its
-        new position before it is binned, so each pair is tested once, from
-        whichever end is binned second. The range test is
-        geometry.distance's, hypot(dx, dy) <= tx_range_m, which gives the
-        same answer from either end. Only the rows this touched are sorted
-        into insertion order and rebuilt."""
+        """Re-test the changed ranks against the kept uniform grid (ns-2's
+        GridKeeper idea). Each changed node is un-binned and dropped from
+        its old neighbours' lists. The alive ones are then taken cell by
+        cell: a cell's nodes are tested against what is already binned in
+        the 3x3 block of cells around it and against each other, in one
+        candidate list, and binned after it; so each pair is tested once.
+        The range test is geometry.distance's, hypot(dx, dy) <= tx_range_m,
+        which gives the same answer from either end. Only the rows this
+        touched are sorted into insertion order and rebuilt."""
         cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
         ids, binned, grid, found, table = (
             self._ids, self._binned, self._grid, self._found, self._table)
         touched = set(changed)
+        cells: Dict[Tuple[int, int], List[tuple]] = {}   # new cell -> entries
         for a in changed:
             entry = binned[a]
             if entry is not None:
@@ -196,21 +197,23 @@ class Simulator:
                 touched.update(found[a])
                 found[a] = []
                 binned[a] = None
-        for a in changed:
             node = nodes[a]
-            if not node.alive:
-                continue
-            x, y = node.pos.x, node.pos.y
-            cx, cy = int(x // cell_m), int(y // cell_m)
-            for kx in (cx - 1, cx, cx + 1):
-                for ky in (cy - 1, cy, cy + 1):
-                    for b, bx, by in grid.get((kx, ky), ()):
-                        if hypot(x - bx, y - by) <= tx_range:
-                            found[a].append(b)
-                            found[b].append(a)
-                            touched.add(b)
-            binned[a] = entry = (a, x, y)
-            grid.setdefault((cx, cy), []).append(entry)
+            if node.alive:
+                x, y = node.pos.x, node.pos.y
+                binned[a] = entry = (a, x, y)
+                cells.setdefault((int(x // cell_m), int(y // cell_m)), []).append(entry)
+        for (cx, cy), entries in cells.items():
+            near = [entry for kx in (cx - 1, cx, cx + 1) for ky in (cy - 1, cy, cy + 1)
+                    for entry in grid.get((kx, ky), ())]
+            for entry in entries:
+                a, x, y = entry
+                for b, bx, by in near:
+                    if hypot(x - bx, y - by) <= tx_range:
+                        found[a].append(b)
+                        found[b].append(a)
+                        touched.add(b)
+                near.append(entry)
+            grid.setdefault((cx, cy), []).extend(entries)
         for r in touched:
             ranks = found[r]
             ranks.sort()
