@@ -203,8 +203,10 @@ class Simulator:
                 binned[a] = entry = (a, x, y)
                 cells.setdefault((int(x // cell_m), int(y // cell_m)), []).append(entry)
         for (cx, cy), entries in cells.items():
-            near = [entry for kx in (cx - 1, cx, cx + 1) for ky in (cy - 1, cy, cy + 1)
-                    for entry in grid.get((kx, ky), ())]
+            near = []
+            for kx in (cx - 1, cx, cx + 1):
+                for ky in (cy - 1, cy, cy + 1):
+                    near += grid.get((kx, ky), ())
             for entry in entries:
                 a, x, y = entry
                 for b, bx, by in near:
