@@ -223,14 +223,16 @@ class Simulator:
 
     def _transmit(self, sender, receivers: Sequence[int], message) -> None:
         """One transmission: charge the sender (a head pays the head cost
-        factor), deliver to the receivers, and retire a sender it drained."""
-        cost = sender.energy.transmit_cost
+        factor), deliver to the receivers, and retire a sender it drained.
+        The sender is alive: broadcast and unicast refuse a dead one."""
+        energy = sender.energy
+        cost = energy.transmit_cost
         if sender.role == ROLE_HEAD:
             cost *= self.config.head_transmit_cost_factor
-        sender.energy.charge(cost)
+        drained = energy.charge(cost)
         if receivers:
             self._schedule_delivery(sender.node_id, receivers, message)
-        if sender.energy.depleted and sender.alive:
+        if drained:
             self.mark_dead(sender.node_id)
 
     def broadcast(self, sender_id: int, message) -> FrozenSet[int]:

@@ -4,8 +4,12 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Position:
+    # Never assigned after construction: a node that moves gets a new
+    # Position, and Hellos already sent keep the old one. Not frozen, because
+    # a frozen dataclass sets each field through object.__setattr__ and costs
+    # about twice as much to build. Equality without frozen makes it unhashable.
     x: float
     y: float
 

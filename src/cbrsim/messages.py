@@ -1,4 +1,8 @@
-"""Simulation-internal message types exchanged between nodes."""
+"""Simulation-internal message types exchanged between nodes.
+
+Every type has slots and none is frozen, which makes each one cheaper to
+build; equality without frozen makes them unhashable.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +12,10 @@ from typing import FrozenSet, List, Optional, Tuple
 from .geometry import Position
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Hello:
-    # Frozen: every receiver keeps this one object as its neighbour-table
-    # entry for the sender.
+    # Never assigned after construction: every receiver keeps this one object
+    # as its neighbour-table entry for the sender.
     sender_id: int
     sender_role: str
     sender_pos: Position
@@ -21,27 +25,27 @@ class Hello:
     neighbor_snapshot: FrozenSet[int] = frozenset()  # ids of the sender's fresh neighbours
 
 
-@dataclass
+@dataclass(slots=True)
 class SecondaryAnnounce:
     head_id: int
     secondary_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteRequest:
     request_id: Tuple[int, int, int]   # (source, sequence, retry)
     dest_id: int
     recorded_path: List[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteReply:
     request_id: Tuple[int, int, int]
     full_path: List[int]
     cursor: int                        # index of current holder in reversed travel
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     packet_id: int
     source_id: int

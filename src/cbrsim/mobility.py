@@ -9,7 +9,7 @@ from typing import List, Tuple
 from .geometry import Position, distance
 
 
-@dataclass
+@dataclass(slots=True)
 class MobilityState:
     waypoint: Position
     speed: float                 # m/s, fixed per scenario
@@ -17,7 +17,7 @@ class MobilityState:
     total_distance: float = 0.0  # accumulator for the running average speed
 
 
-@dataclass
+@dataclass(slots=True)
 class EnergyState:
     remaining: float
     initial: float
@@ -30,9 +30,15 @@ class EnergyState:
     def consumed(self) -> float:
         return self.initial - self.remaining
 
-    def charge(self, cost: float) -> None:
-        """Pay for one transmission; the remainder clamps at zero."""
-        self.remaining = max(0.0, self.remaining - cost)
+    def charge(self, cost: float) -> bool:
+        """Pay for one transmission; the remainder clamps at zero. True when
+        the battery is now empty, as `depleted` would then say."""
+        remaining = self.remaining - cost
+        if remaining > 0.0:
+            self.remaining = remaining
+            return False
+        self.remaining = 0.0
+        return True
 
 
 def place_nodes(n: int, width: float, height: float, rng: random.Random) -> List[Position]:

@@ -52,6 +52,7 @@ class Node:
         cfg = sim.config
         self.mode = cfg.protocol_mode
         self.factors = WeightFactors(cfg.w1, cfg.w2, cfg.w3, cfg.w4)
+        self.stale_timeout_s = cfg.stale_timeout_s()
 
         self.role = ROLE_UNDECIDED
         self.head_id: Optional[int] = None
@@ -93,13 +94,13 @@ class Node:
 
     def fresh_neighbors(self) -> List[Hello]:
         """The Hellos of neighbours heard within the stale timeout, in table order."""
-        cutoff = self.sim.now - self.sim.config.stale_timeout_s()
+        cutoff = self.sim.now - self.stale_timeout_s
         heard = self.heard
         return [h for nid, h in self.neighbors.items() if heard[nid] >= cutoff]
 
     def current_degree_entries(self) -> List[Hello]:
         """Fresh Hellos whose advertised position is within radio range."""
-        cutoff = self.sim.now - self.sim.config.stale_timeout_s()
+        cutoff = self.sim.now - self.stale_timeout_s
         rng = self.sim.config.tx_range_m
         x, y, heard = self.pos.x, self.pos.y, self.heard
         return [h for nid, h in self.neighbors.items()
@@ -110,13 +111,19 @@ class Node:
     def weight_components(self, fresh: Optional[List[Hello]] = None) -> WeightComponents:
         """The weight's terms; `fresh` is this instant's fresh_neighbors(),
         when the caller already has it. Each neighbour is measured once: the
-        degree counts and the distance sum adds the distances within range."""
+        degree counts and the distance sum adds the distances within range,
+        left to right from int 0, so the sum is the same on every Python (the
+        built-in sum() of floats is compensated from 3.12 on)."""
         cfg = self.sim.config
         if fresh is None:
             fresh = self.fresh_neighbors()
         x, y, rng = self.pos.x, self.pos.y, cfg.tx_range_m
-        dists = [d for h in fresh
-                 if (d := hypot(x - h.sender_pos.x, y - h.sender_pos.y)) <= rng]
+        degree = dist_sum = 0
+        for h in fresh:
+            d = hypot(x - h.sender_pos.x, y - h.sender_pos.y)
+            if d <= rng:
+                degree += 1
+                dist_sum += d
         if cfg.p_v_mode == "energy_consumed":
             head_metric = self.energy.consumed()
         else:
@@ -124,8 +131,8 @@ class Node:
             if self._ch_since is not None:
                 head_metric += self.sim.now - self._ch_since
         return WeightComponents(
-            degree_diff=degree_difference(len(dists), cfg.ideal_degree),
-            dist_sum=sum(dists),
+            degree_diff=degree_difference(degree, cfg.ideal_degree),
+            dist_sum=dist_sum,
             mobility=average_speed(self.mobility.total_distance, self.sim.now),
             head_time=head_metric,
         )
@@ -284,7 +291,8 @@ class Node:
         self.role = ROLE_MEMBER
         self.head_id = entry.sender_id
         self.secondary = entry.secondary_id
-        self.sim.record("join", self.node_id, entry.sender_id, entry.sender_weight)
+        if self.sim.trace is not None:
+            self.sim.record("join", self.node_id, entry.sender_id, entry.sender_weight)
         if was_undecided:
             self._cancel_undecided_timer()
 
@@ -353,7 +361,7 @@ class Node:
     def table_maintenance(self) -> None:
         if not self.alive:
             return
-        cutoff = self.sim.now - self.sim.config.stale_timeout_s()
+        cutoff = self.sim.now - self.stale_timeout_s
         expired = [nid for nid, t in self.heard.items() if t < cutoff]
         for nid in expired:
             del self.neighbors[nid]

@@ -205,7 +205,8 @@ def _send_hop(sim: Simulator, node, packet: DataPacket,
     next_hop = packet.route[i + 1]
     packet.cursor = i + 1
     if sim.unicast(node.node_id, next_hop, packet):
-        sim.record("hop", packet.packet_id, node.node_id, next_hop)
+        if sim.trace is not None:
+            sim.record("hop", packet.packet_id, node.node_id, next_hop)
     else:
         packet.cursor = i
         recover_route(sim, node, packet, next_hop, tried)

@@ -16,7 +16,7 @@ class WeightFactors:
     w4: float = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WeightComponents:
     degree_diff: float   # |degree - ideal_degree|
     dist_sum: float      # sum of distances to current neighbors, meters

@@ -1,6 +1,7 @@
 """Regenerate tests/trace_digests.json, the committed trace-stream digests.
 
     PYTHONPATH=src python3 tests/refresh_trace_digests.py
+    PYTHONPATH=src python3 tests/refresh_trace_digests.py --check
 
 Each digest hashes a run's whole record stream (`sim.trace`: every election,
 join, discovery path and data hop, with its time) plus its `RunMetrics`. A
@@ -8,10 +9,15 @@ change can keep every node's end state and still reorder elections; these
 digests catch that. Run this only in a change that means to alter simulated
 behaviour: tests/test_trace_digests.py fails on any run whose digest differs
 from the table. The matrix is both modes x three scenarios x seeds 1-3.
+
+--check writes nothing: it recomputes the table, prints each case whose
+digest differs from the committed one and exits 1 if any does. It needs only
+the standard library, so it runs on any supported Python without pytest.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -54,7 +60,19 @@ def trace_digest(config: ScenarioConfig) -> str:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the committed table instead of writing it")
+    args = parser.parse_args()
     table = {name: trace_digest(config) for name, config in cases().items()}
+    if args.check:
+        committed = json.loads(TABLE.read_text())
+        differ = [name for name in dict.fromkeys([*table, *committed])
+                  if committed.get(name) != table.get(name)]
+        for name in differ:
+            print(f"differs: {name}")
+        print(f"{len(differ)} of {len(table)} digests differ from {TABLE}")
+        return 1 if differ else 0
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
     print(f"{len(table)} digests written to {TABLE}")
     return 0

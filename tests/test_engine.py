@@ -452,6 +452,27 @@ def test_trace_stream_is_off_by_default():
     assert sim.trace is None
 
 
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+def test_stream_off_makes_no_record_call(mode, monkeypatch):
+    # Every record site is guarded by `sim.trace is not None`, so a run with
+    # the stream off never calls record, not even to have it return at once.
+    calls = {False: 0, True: 0}   # stream on? -> record calls
+    record = Simulator.record
+
+    def spy(sim, kind, *fields):
+        calls[sim.trace is not None] += 1
+        record(sim, kind, *fields)
+    monkeypatch.setattr(Simulator, "record", spy)
+    config = ScenarioConfig(node_count=30, duration_s=60.0, seed=1, protocol_mode=mode)
+    assert run_scenario(config).packets_delivered > 0
+    assert calls == {False: 0, True: 0}
+    sim = build_simulation(config)
+    sim.trace = []
+    sim.run_until(config.duration_s)
+    assert calls == {False: 0, True: len(sim.trace)}
+    assert {kind for _t, kind, *_ in sim.trace} == {"hop", "path", "election", "join"}
+
+
 def test_records_raises_when_stream_is_off():
     sim = Simulator(static_config())
     with pytest.raises(RuntimeError):

@@ -133,3 +133,18 @@ def test_underflow_clamps_to_zero():
     e.charge(e.transmit_cost)
     assert e.remaining == 0.0
     assert e.depleted
+
+
+@pytest.mark.parametrize("remaining, cost, empty", [
+    (1.0, 1.0, True),      # exact empty
+    (0.5, 1.0, True),      # underflow
+    (0.0, 1.0, True),      # already empty
+    (0.0, 0.0, True),      # already empty, free transmission
+    (2.0, 1.0, False),
+    (100.0, 1e-9, False),
+])
+def test_charge_returns_whether_the_battery_is_now_empty(remaining, cost, empty):
+    e = EnergyState(remaining=remaining, initial=100.0, transmit_cost=cost)
+    assert e.charge(cost) is empty
+    assert e.depleted is empty
+    assert e.remaining == (0.0 if empty else remaining - cost)

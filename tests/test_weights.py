@@ -83,7 +83,10 @@ def reference_degree_and_dist_sum(node):
     rng = node.sim.config.tx_range_m
     entries = [h for nid, h in node.neighbors.items()
                if node.heard[nid] >= cutoff and distance(node.pos, h.sender_pos) <= rng]
-    return entries, len(entries), sum(distance(node.pos, h.sender_pos) for h in entries)
+    dist_sum = 0   # added left to right: sum() of floats is compensated from Python 3.12
+    for h in entries:
+        dist_sum += distance(node.pos, h.sender_pos)
+    return entries, len(entries), dist_sum
 
 
 NOW = 10.0   # the stale timeout is 3 s, so an entry aged 3.0 is fresh and 3.0001 is not
