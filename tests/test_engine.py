@@ -1,6 +1,7 @@
 """Event queue ordering, unit-disk radio, energy charging, and packet
 accounting in the simulation core."""
 
+import heapq
 import math
 
 import pytest
@@ -64,6 +65,100 @@ def test_event_queue_is_stable_sorted(times):
         sim.schedule(t, "e", (lambda i=i, t=t: fired.append((t, i))))
     sim.run_until(1e7)
     assert fired == sorted(fired)  # time-major, insertion-order within ties
+
+
+class _HeapModel:
+    """The reference queue: one heap of (time, seq) entries, run in order."""
+
+    def __init__(self):
+        self.now, self._heap, self._seq, self._cancelled = 0.0, [], 0, set()
+
+    def schedule(self, fire_time, fn):
+        seq = self._seq
+        self._seq += 1
+        heapq.heappush(self._heap, (fire_time, seq, fn))
+        return lambda: self._cancelled.add(seq)
+
+    def run_until(self, t_end):
+        while self._heap and self._heap[0][0] <= t_end:
+            fire_time, seq, fn = heapq.heappop(self._heap)
+            if seq not in self._cancelled:
+                self.now = fire_time
+                fn()
+        self.now = max(self.now, t_end)
+
+
+class _SimQueue:
+    """The simulator's queue behind the model's interface."""
+
+    def __init__(self):
+        self.sim = bare_sim()
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    def schedule(self, fire_time, fn):
+        return self.sim.schedule(fire_time, "e", fn).cancel
+
+    def run_until(self, t_end):
+        self.sim.run_until(t_end)
+
+
+_MAX_EVENTS = 80
+# A child event: when it is due ("now", "later" by k half-seconds, or an
+# already "used" time not before now) and a number k that picks which.
+_CHILD = st.tuples(st.sampled_from(("now", "later", "used")), st.integers(0, 20))
+# Per event, in creation order: the children it schedules when it fires, and
+# the creation index (mod the count so far) of an event it then cancels.
+_PROGRAM = st.lists(st.tuples(st.lists(_CHILD, max_size=3),
+                              st.none() | st.integers(0, _MAX_EVENTS)), max_size=40)
+# Per run_until step: root events scheduled before it, and how many
+# half-seconds t_end lies past now. All times are multiples of 0.5, so
+# t_end often equals an event time.
+_STEPS = st.lists(st.tuples(st.lists(_CHILD, max_size=3), st.integers(0, 6)),
+                  min_size=1, max_size=5)
+
+
+def _play(queue, program, steps):
+    """Run the program on the queue; returns (creation index, time) of each
+    event in firing order."""
+    fired, cancels, used = [], [], [0.0]
+
+    def spawn(when, k):
+        ident = len(cancels)
+        if ident >= _MAX_EVENTS:
+            return
+        now = queue.now
+        if when == "now":
+            fire_time = now
+        elif when == "later":
+            fire_time = now + 0.5 * (1 + k % 3)
+        else:
+            ahead = [t for t in used if t >= now] or [now]
+            fire_time = ahead[k % len(ahead)]
+        used.append(fire_time)
+
+        def fire():
+            fired.append((ident, queue.now))
+            children, cancel = program[ident] if ident < len(program) else ((), None)
+            for child in children:
+                spawn(*child)
+            if cancel is not None:
+                cancels[cancel % len(cancels)]()
+        cancels.append(queue.schedule(fire_time, fire))
+
+    for roots, advance in steps:
+        for root in roots:
+            spawn(*root)
+        queue.run_until(queue.now + 0.5 * advance)
+    return fired
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROGRAM, _STEPS)
+def test_event_order_matches_a_time_seq_heap(program, steps):
+    assert _play(_SimQueue(), program, steps) == _play(_HeapModel(), program, steps)
 
 
 def test_broadcast_reaches_only_nodes_within_range():
