@@ -8,7 +8,10 @@ join, discovery path and data hop, with its time) plus its `RunMetrics`. A
 change can keep every node's end state and still reorder elections; these
 digests catch that. Run this only in a change that means to alter simulated
 behaviour: tests/test_trace_digests.py fails on any run whose digest differs
-from the table. The matrix is both modes x three scenarios x seeds 1-3.
+from the table. The matrix is both modes x four scenarios x seeds 1-3.
+Only delayed-n60 has a positive propagation delay, so only it sends
+deliveries through the heap at a later time and has copies of one route
+request arrive at different times.
 
 --check writes nothing: it recomputes the table, prints each case whose
 digest differs from the committed one and exits 1 if any does. It needs only
@@ -30,13 +33,20 @@ from cbrsim import ScenarioConfig, build_simulation, stress_config
 TABLE = Path(__file__).resolve().parent / "trace_digests.json"
 MODES = ("cbrp", "ecbrp")
 SEEDS = (1, 2, 3)
+
+
+def _ample_n60(mode: str, seed: int) -> ScenarioConfig:
+    return ScenarioConfig(node_count=60, duration_s=40.0, seed=seed, protocol_mode=mode,
+                          initial_energy=1e9)
+
+
 SCENARIOS = {
     "default-n30": lambda mode, seed: ScenarioConfig(
         node_count=30, duration_s=60.0, seed=seed, protocol_mode=mode),
-    "ample-n60": lambda mode, seed: ScenarioConfig(
-        node_count=60, duration_s=40.0, seed=seed, protocol_mode=mode,
-        initial_energy=1e9),
+    "ample-n60": _ample_n60,
     "stress": stress_config,
+    "delayed-n60": lambda mode, seed: dataclasses.replace(
+        _ample_n60(mode, seed), propagation_delay_s=0.002),
 }
 
 
