@@ -23,10 +23,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .config import ScenarioConfig
 from .geometry import distance
+from .messages import RouteRequest
 from .metrics import RunMetrics
 
 ROLE_UNDECIDED = "undecided"
@@ -64,7 +66,8 @@ class Simulator:
         config.validate()
         self.config = config
         self.now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Event]] = []   # events due after now
+        self._ready: Deque[Event] = deque()                # events due now
         self._seq = 0
         self.rng = RngStreams(config.seed)
         self.nodes: Dict[int, "object"] = {}  # id -> Node, filled by the scenario builder
@@ -96,21 +99,42 @@ class Simulator:
     # -- event queue -------------------------------------------------------
 
     def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> Event:
-        if fire_time < self.now:
-            raise ValueError(f"cannot schedule {kind!r} at {fire_time} before now={self.now}")
-        event = Event(kind, fn)
-        heapq.heappush(self._queue, (fire_time, self._seq, event))
-        self._seq += 1
+        now, event = self.now, Event(kind, fn)
+        if fire_time == now:
+            self._ready.append(event)
+        elif fire_time > now:
+            heapq.heappush(self._queue, (fire_time, self._seq, event))
+            self._seq += 1
+        else:   # before now, or NaN, which compares false with everything
+            raise ValueError(f"cannot schedule {kind!r} at {fire_time}: not at or after now={now}")
         return event
 
     def run_until(self, t_end: float) -> RunMetrics:
-        queue, pop = self._queue, heapq.heappop
-        while queue and queue[0][0] <= t_end:
-            fire_time, _, event = pop(queue)
-            if event.cancelled:
-                continue
-            self.now = fire_time
-            event.fn()
+        """Run every event due at or before t_end, in (fire time, scheduling
+        order), then set the clock to t_end if it is behind.
+
+        Events due now wait on the ready deque, in the order they were
+        scheduled; every other event is on the heap. A heap event due now was
+        scheduled while the clock was still earlier, so it comes before every
+        ready event, each scheduled at now; it runs first. A ready event can
+        only add heap events due later, so once the heap has none due now the
+        ready events run in turn, and then the clock moves to the next heap
+        event. This is the order of one (time, seq) heap. Nothing runs when
+        now is already past t_end."""
+        queue, ready = self._queue, self._ready
+        pop, popleft = heapq.heappop, ready.popleft
+        now = self.now
+        if now <= t_end:
+            while True:
+                if ready:
+                    event = pop(queue)[2] if queue and queue[0][0] == now else popleft()
+                elif queue and queue[0][0] <= t_end:
+                    now, _, event = pop(queue)
+                    self.now = now
+                else:
+                    break
+                if not event.cancelled:
+                    event.fn()
         self.now = max(self.now, t_end)
         return self.metrics
 
@@ -258,14 +282,25 @@ class Simulator:
         """One event hands the message to every receiver still alive, in
         order. Per-receiver events would have had contiguous seqs, and
         anything a handler schedules gets a larger seq, so the order of
-        handling is the same."""
+        handling is the same. A route request skips each receiver that has
+        already seen its id: that is handle_rreq's first test, made before
+        dispatch, so the duplicate costs one set lookup."""
         nodes = self.nodes
+        if type(message) is RouteRequest:
+            request_id = message.request_id
 
-        def deliver():
-            for receiver_id in receivers:
-                receiver = nodes.get(receiver_id)
-                if receiver is not None and receiver.role != ROLE_DEAD:
-                    receiver.handle_message(message, sender_id)
+            def deliver():
+                for receiver_id in receivers:
+                    receiver = nodes.get(receiver_id)
+                    if (receiver is not None and receiver.role != ROLE_DEAD
+                            and request_id not in receiver.routing.seen_rreq):
+                        receiver.handle_message(message, sender_id)
+        else:
+            def deliver():
+                for receiver_id in receivers:
+                    receiver = nodes.get(receiver_id)
+                    if receiver is not None and receiver.role != ROLE_DEAD:
+                        receiver.handle_message(message, sender_id)
         self.schedule(self.now + self.config.propagation_delay_s, "deliver", deliver)
 
     # -- lifecycle ---------------------------------------------------------

@@ -46,6 +46,21 @@ def test_scheduling_in_the_past_is_rejected():
         sim.schedule(3.0, "late", lambda: None)
 
 
+def test_nan_fire_time_is_rejected_and_the_queue_keeps_its_order():
+    # On the heap a NaN would break the order: 2.0, NaN, 1.0, 0.5 used to
+    # fire as [1.0, 0.5], and the other two never ran.
+    sim = bare_sim()
+    fired = []
+    for t in (2.0, math.nan, 1.0, 0.5):
+        if math.isnan(t):
+            with pytest.raises(ValueError, match="nan"):
+                sim.schedule(t, "bad", lambda: fired.append("nan"))
+        else:
+            sim.schedule(t, "ok", lambda t=t: fired.append(t))
+    sim.run_until(10.0)
+    assert fired == [0.5, 1.0, 2.0]
+
+
 def test_cancelled_event_does_not_fire():
     sim = bare_sim()
     fired = []
@@ -114,9 +129,9 @@ _CHILD = st.tuples(st.sampled_from(("now", "later", "used")), st.integers(0, 20)
 _PROGRAM = st.lists(st.tuples(st.lists(_CHILD, max_size=3),
                               st.none() | st.integers(0, _MAX_EVENTS)), max_size=40)
 # Per run_until step: root events scheduled before it, and how many
-# half-seconds t_end lies past now. All times are multiples of 0.5, so
-# t_end often equals an event time.
-_STEPS = st.lists(st.tuples(st.lists(_CHILD, max_size=3), st.integers(0, 6)),
+# half-seconds t_end lies past now (negative: before now, so nothing runs).
+# All times are multiples of 0.5, so t_end often equals an event time.
+_STEPS = st.lists(st.tuples(st.lists(_CHILD, max_size=3), st.integers(-2, 6)),
                   min_size=1, max_size=5)
 
 

@@ -3,7 +3,7 @@ error-recovery policies."""
 
 import pytest
 
-from cbrsim import ROLE_HEAD, ROLE_MEMBER
+from cbrsim import ROLE_HEAD, ROLE_MEMBER, Node, ScenarioConfig, build_simulation
 from cbrsim import routing
 from cbrsim.messages import RouteReply, RouteRequest
 
@@ -54,6 +54,33 @@ def test_request_with_own_id_on_path_is_dropped():
     node = add_node(sim, 1, 0.0, 0.0)
     routing.handle_rreq(sim, node, RouteRequest((9, 3, 0), 5, [9, 1, 4]))
     assert recorded_paths(sim) == []   # a copy already passed through node 1
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.002])
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+def test_duplicate_requests_never_reach_dispatch(mode, delay, monkeypatch):
+    # A delivery skips a receiver that has already seen the request, so
+    # handle_message gets each request once per node that did not send it.
+    dispatched, duplicates = [], []
+    handle_message = Node.handle_message
+
+    def spy(node, message, sender_id):
+        if type(message) is RouteRequest:
+            dispatched.append((node.node_id, message.request_id))
+            if message.request_id in node.routing.seen_rreq:
+                duplicates.append((node.node_id, message.request_id))
+        handle_message(node, message, sender_id)
+    monkeypatch.setattr(Node, "handle_message", spy)
+    config = ScenarioConfig(node_count=60, duration_s=20.0, seed=1, protocol_mode=mode,
+                            initial_energy=1e9, propagation_delay_s=delay)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    # A node's seen ids are its own requests and its first receipts.
+    first_receipts = sum(1 for node in sim.nodes.values()
+                         for source, _seq, _retry in node.routing.seen_rreq
+                         if source != node.node_id)
+    assert duplicates == []
+    assert len(dispatched) == first_receipts > 100
 
 
 def test_head_fanout_reaches_each_adjacent_cluster_via_its_gateway():
