@@ -5,12 +5,17 @@ A single run is strictly single-threaded. All randomness flows through named
 sub-streams of one seed, so identical (config, seed) gives an identical event
 trace and identical metrics.
 
-The queue is a heap of (fire_time, seq, Event) tuples; seq is unique, so ties
-in time fire in scheduling order and two Events are never compared. One
-transmission is one "deliver" event that hands the message to its receivers
-in order. Between two invalidate_neighbors() calls the topology is fixed, and
-the first neighbour query brings every node's receivers up to date at once.
-The table of the previous epoch is kept, with the uniform grid it was built
+Events due later than now wait on a heap of (fire_time, seq, Event) tuples;
+seq is unique, so ties in time fire in scheduling order and two Events are
+never compared. Events due now, such as every delivery at zero propagation
+delay, wait on a ready deque instead, and run after the heap events due now
+(see run_until); the order is that of one (time, seq) heap. One transmission
+is one "deliver" event that hands the message to its receivers in order; a
+route request skips the receivers that have already seen it.
+
+Between two invalidate_neighbors() calls the topology is fixed, and the
+first neighbour query brings every node's receivers up to date at once. The
+table of the previous epoch is kept, with the uniform grid it was built
 from: when at most a quarter of the nodes moved or died since, only those are
 re-tested and every other row is kept. When more changed, or a node joined,
 the kept state is dropped and every alive node is re-tested from an empty

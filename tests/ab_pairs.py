@@ -32,8 +32,7 @@ def run_once(checkout: Path, args) -> dict:
     """One benchmark run in the checkout; its parsed last line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
-         "--size", args.size],
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -71,7 +70,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--size", choices=("full", "tiny"), default="full")
     args = parser.parse_args(argv)
     better = {m["name"]: m["better"] for m in json.loads(SPEC.read_text())["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
