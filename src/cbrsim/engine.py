@@ -45,10 +45,9 @@ ROLE_DEAD = "dead"
 class Event:
     """A scheduled callback; the holder may cancel() it before it fires."""
 
-    __slots__ = ("kind", "fn", "cancelled")
+    __slots__ = ("fn", "cancelled")
 
-    def __init__(self, kind: str, fn: Callable[[], None]):
-        self.kind = kind
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
         self.cancelled = False
 
@@ -104,7 +103,7 @@ class Simulator:
     # -- event queue -------------------------------------------------------
 
     def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> Event:
-        now, event = self.now, Event(kind, fn)
+        now, event = self.now, Event(fn)
         if fire_time == now:
             self._ready.append(event)
         elif fire_time > now:

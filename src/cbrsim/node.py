@@ -8,6 +8,11 @@ Everything else follows from the data. When its head fails, a member that
 knows the cluster's secondary promotes itself (if it is the secondary) or
 re-homes to it (if it hears it); otherwise, and so always in cbrp, it goes
 back through the undecided formation procedure.
+
+The only clustering timer a node holds is its undecided timer. A node sends
+its first HELLO in on_startup, and every later one when the scenario's HELLO
+round (one event per hello_interval_s for all nodes) calls send_hello. The
+round skips a dead node, so on_death cancels only the undecided timer.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ class Node:
 
         self.ch_accum_s = 0.0
         self._ch_since: Optional[float] = None
-        self._hello_timer = None
         self._undecided_timer = None
         self._join_eval_scheduled = False
         self._last_secondary_announce = -1e9
@@ -148,7 +152,7 @@ class Node:
 
     def on_startup(self) -> None:
         if self.alive:
-            self.hello_tick()
+            self.send_hello()
             self._restart_undecided_timer()
 
     def _restart_undecided_timer(self) -> None:
@@ -161,13 +165,6 @@ class Node:
         if self._undecided_timer is not None:
             self._undecided_timer.cancel()
             self._undecided_timer = None
-
-    def hello_tick(self) -> None:
-        if not self.alive:
-            return
-        self.send_hello()
-        self._hello_timer = self.sim.schedule(
-            self.sim.now + self.sim.config.hello_interval_s, "hello", self.hello_tick)
 
     def build_hello(self) -> Hello:
         # Weight is recomputed immediately before every broadcast.
@@ -401,7 +398,4 @@ class Node:
     def on_death(self) -> None:
         self._stop_heading()
         self.role = ROLE_DEAD
-        if self._hello_timer is not None:
-            self._hello_timer.cancel()
-            self._hello_timer = None
         self._cancel_undecided_timer()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import routing
 from .config import ScenarioConfig
@@ -41,12 +41,26 @@ def build_simulation(config: ScenarioConfig,
                                 config.transmit_cost))
         sim.nodes[node_id] = node
 
-    for node in sim.nodes.values():
-        sim.schedule(0.0, "startup", node.on_startup)
+    nodes = list(sim.nodes.values())
+    sim.schedule(0.0, "startup", lambda: _start(sim, nodes))
 
+    dt = config.mobility_tick_s
     if config.node_speed_mps > 0:
-        _schedule_mobility(sim)
-    _schedule_maintenance(sim)
+        def move():
+            # Dead nodes keep moving: they stay in the world, and advancing them
+            # keeps waypoint-stream consumption identical across protocol modes.
+            for node in sim.nodes.values():
+                node.pos, node.mobility = mobility_step(
+                    node.pos, node.mobility, dt, config.pause_time_s,
+                    config.area_width_m, config.area_height_m, sim.rng.waypoints)
+            sim.invalidate_neighbors()
+        _every(sim, dt, dt, "mobility-tick", move)
+
+    def maintain():
+        for node in sim.nodes.values():
+            node.table_maintenance()
+    # Offset half a tick so each maintenance pass sees that second's HELLOs.
+    _every(sim, dt / 2.0, dt, "maintenance-tick", maintain)
 
     if flow_pairs is None:
         flow_pairs = _draw_flows(sim)
@@ -54,33 +68,59 @@ def build_simulation(config: ScenarioConfig,
     return sim
 
 
-def _schedule_mobility(sim: Simulator) -> None:
-    cfg = sim.config
-    dt = cfg.mobility_tick_s
-
-    def tick():
-        # Dead nodes keep moving: they stay in the world, and advancing them
-        # keeps waypoint-stream consumption identical across protocol modes.
-        for node in sim.nodes.values():
-            node.pos, node.mobility = mobility_step(
-                node.pos, node.mobility, dt, cfg.pause_time_s,
-                cfg.area_width_m, cfg.area_height_m, sim.rng.waypoints)
-        sim.invalidate_neighbors()
-        sim.schedule(sim.now + dt, "mobility-tick", tick)
-
-    sim.schedule(dt, "mobility-tick", tick)
+def _every(sim: Simulator, first: float, period: float, kind: str,
+           body: Callable[[], None]) -> None:
+    """Run body at `first`, then every `period`: each run re-arms the event
+    at now + period once body has returned."""
+    def fire():
+        body()
+        sim.schedule(sim.now + period, kind, fire)
+    sim.schedule(first, kind, fire)
 
 
-def _schedule_maintenance(sim: Simulator) -> None:
-    dt = sim.config.mobility_tick_s
+def _start(sim: Simulator, nodes: List[Node]) -> None:
+    """The one "startup" event, at t = 0: arm the HELLO round, then start
+    each node in sim.nodes order (its first HELLO, then its undecided
+    timer). Every hello_interval_s from then on, the round sends a HELLO
+    from each of these nodes that is still alive, in the same order.
 
-    def tick():
-        for node in sim.nodes.values():
-            node.table_maintenance()
-        sim.schedule(sim.now + dt, "maintenance-tick", tick)
+    The round replaces one timer per node, armed in the node's own startup
+    event right after its first HELLO and re-armed after each send. Events
+    fire in (time, seq) order, seq being the order of scheduling, and the
+    round takes the place of the whole block of old timers due at one
+    instant. Between two of those timers ran only what the timers
+    scheduled: a HELLO's delivery, due at now + propagation_delay_s, and
+    the next timer (heap events due now run before the ready deque, so even
+    zero-delay deliveries wait for the whole block). Every other event due
+    at a round instant was scheduled before the block or after it, and so
+    fires before or after the round alike:
+      - build_simulation and its caller schedule before the startup event
+        runs, so the mobility tick (due with every round at the defaults)
+        and a force_kill at t = hello_interval_s still come first. A round
+        armed in build_simulation would come before such a kill.
+      - every later event is scheduled before or after the instant at which
+        the block re-armed itself, and the round re-arms at that instant.
+    The trace therefore changes only where an event due at a round instant
+    was scheduled in the middle of a block. Two exact ties do that:
+      - propagation_delay_s == hello_interval_s: each node's delivery was
+        due between two nodes' timers (d0, h0, d1, h1, ...). The round
+        fires before the startup HELLOs' deliveries and after those of
+        every later round.
+      - undecided_timer_intervals == 1: the undecided timers armed at
+        startup alternated with the timers at t = hello_interval_s (h0, u0,
+        h1, u1, ...); the round sends every HELLO before the first
+        undecided timeout.
+    """
+    interval = sim.config.hello_interval_s
 
-    # Offset half a tick so each maintenance pass sees that second's HELLOs.
-    sim.schedule(dt / 2.0, "maintenance-tick", tick)
+    def hello_round():
+        for node in nodes:
+            if node.alive:
+                node.send_hello()
+
+    _every(sim, sim.now + interval, interval, "hello", hello_round)
+    for node in nodes:
+        node.on_startup()
 
 
 def _draw_flows(sim: Simulator) -> List[Tuple[int, int]]:

@@ -66,6 +66,71 @@ def test_every_receiver_keeps_the_one_broadcast_hello():
     assert sim.nodes[1].neighbors[0] is sim.nodes[2].neighbors[0]
 
 
+# -- the HELLO round --------------------------------------------------------
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_one_startup_event_and_one_hello_event_per_interval(n, monkeypatch):
+    scheduled = []
+    schedule = Simulator.schedule
+
+    def spy(sim, fire_time, kind, fn):
+        scheduled.append((kind, fire_time))
+        return schedule(sim, fire_time, kind, fn)
+    monkeypatch.setattr(Simulator, "schedule", spy)
+    config = ScenarioConfig(node_count=n, duration_s=10.0, seed=1, hello_interval_s=0.5,
+                            initial_energy=1e9)
+    build_simulation(config).run_until(config.duration_s)
+    assert [t for kind, t in scheduled if kind == "startup"] == [0.0]
+    # Due at 0.5, 1.0, ..., 10.0 s, and the last one re-armed for 10.5 s.
+    assert [t for kind, t in scheduled if kind == "hello"] == [k / 2 for k in range(1, 22)]
+
+
+def spy_on_hellos(monkeypatch, log):
+    """Append (now, "hello", node id) to log for each HELLO an alive node sends."""
+    send_hello = Node.send_hello
+
+    def spy(node):
+        if node.alive:
+            log.append((node.sim.now, "hello", node.node_id))
+        send_hello(node)
+    monkeypatch.setattr(Node, "send_hello", spy)
+
+
+def test_a_kill_scheduled_after_build_comes_before_the_first_round(monkeypatch):
+    # The caller's kill was scheduled before the startup event armed the round,
+    # so it fires first, as it did before each node's own HELLO timer.
+    sent = []
+    spy_on_hellos(monkeypatch, sent)
+    config = ScenarioConfig(node_count=6, duration_s=3.0, seed=1, initial_energy=1e9)
+    sim = build_simulation(config)
+    sim.force_kill(3, config.hello_interval_s)
+    sim.run_until(config.duration_s)
+    assert {i for t, _, i in sent if t == config.hello_interval_s} == set(sim.nodes) - {3}
+    assert [t for t, _, i in sent if i == 3] == [0.0]
+
+
+def test_round_sends_every_hello_before_a_tied_undecided_timeout(monkeypatch):
+    # With undecided_timer_intervals == 1 the undecided timers armed at startup
+    # are due with the first round. Per-node HELLO timers alternated with them
+    # (h0, u0, h1, u1, ...); the round sends all its HELLOs first. This is one
+    # of the two exact ties in which the round changes the trace.
+    log = []
+    spy_on_hellos(monkeypatch, log)
+    on_undecided_timeout = Node.on_undecided_timeout
+
+    def spy(node):
+        log.append((node.sim.now, "timeout", node.node_id))
+        on_undecided_timeout(node)
+    monkeypatch.setattr(Node, "on_undecided_timeout", spy)
+    config = ScenarioConfig(node_count=8, duration_s=2.0, seed=1, initial_energy=1e9,
+                            undecided_timer_intervals=1.0)
+    sim = build_simulation(config)
+    sim.run_until(config.hello_interval_s)
+    at_round = [(what, i) for t, what, i in log if t == config.hello_interval_s]
+    first_timeout = [what for what, _ in at_round].index("timeout")
+    assert at_round[:first_timeout] == [("hello", i) for i in sim.nodes]
+
+
 # -- joining ----------------------------------------------------------------
 
 def test_undecided_joins_lowest_weight_head():
