@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tests/refresh_trace_digests.py
     PYTHONPATH=src python3 tests/refresh_trace_digests.py --check
+    PYTHONPATH=src python3 tests/refresh_trace_digests.py --explain OTHER_SRC
 
 Each digest hashes a run's whole record stream (`sim.trace`: every election,
 join, discovery path and data hop, with its time) plus its `RunMetrics`. A
@@ -16,6 +17,12 @@ request arrive at different times.
 --check writes nothing: it recomputes the table, prints each case whose
 digest differs from the committed one and exits 1 if any does. It needs only
 the standard library, so it runs on any supported Python without pytest.
+
+--explain OTHER_SRC writes nothing either: it runs each case here and, in a
+subprocess, under another source tree (a checkout, or its src directory),
+prints the first record in which the two streams differ and exits 1 if any
+case differs. It shows what a behaviour change changed, not only that a
+digest moved.
 """
 
 from __future__ import annotations
@@ -24,13 +31,17 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from cbrsim import ScenarioConfig, build_simulation, stress_config
 
-TABLE = Path(__file__).resolve().parent / "trace_digests.json"
+HERE = Path(__file__).resolve().parent
+TABLE = HERE / "trace_digests.json"
 MODES = ("cbrp", "ecbrp")
 SEEDS = (1, 2, 3)
 
@@ -56,24 +67,68 @@ def cases() -> Dict[str, ScenarioConfig]:
             for scenario, make in SCENARIOS.items() for mode in MODES for seed in SEEDS}
 
 
-def trace_digest(config: ScenarioConfig) -> str:
-    """sha256 of one run's record stream and final metrics."""
+def trace_lines(config: ScenarioConfig) -> List[str]:
+    """The repr of each record of one run's stream, then of its final metrics."""
     sim = build_simulation(config)
     sim.trace = []
     metrics = sim.run_until(config.duration_s)
-    h = hashlib.sha256()
-    for record in sim.trace:
-        h.update(repr(record).encode())
-        h.update(b"\n")
-    h.update(repr(dataclasses.asdict(metrics)).encode())
-    return h.hexdigest()
+    return [*map(repr, sim.trace), repr(dataclasses.asdict(metrics))]
+
+
+def trace_digest(config: ScenarioConfig) -> str:
+    """sha256 of one run's record stream and final metrics."""
+    return hashlib.sha256("\n".join(trace_lines(config)).encode()).hexdigest()
+
+
+def first_divergence(trace_a: Sequence, trace_b: Sequence) -> Optional[Tuple[int, object, object]]:
+    """(index, a's record, b's record) at the first index where the two
+    traces differ, a record past the end of the shorter one being None;
+    None if they are equal."""
+    for index, (a, b) in enumerate(zip_longest(trace_a, trace_b)):
+        if a != b:
+            return index, a, b
+    return None
+
+
+def other_trace_lines(other_src: Path, config: ScenarioConfig) -> List[str]:
+    """trace_lines of the config run under another source tree, in a
+    subprocess that imports cbrsim from there and this module from here."""
+    src = other_src / "src" if (other_src / "src" / "cbrsim").is_dir() else other_src
+    code = ("import json, sys; from cbrsim import ScenarioConfig; "
+            "from refresh_trace_digests import trace_lines; "
+            "print('\\n'.join(trace_lines(ScenarioConfig(**json.loads(sys.argv[1])))))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(dataclasses.asdict(config))],
+        cwd=HERE, env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(HERE)])),
+        capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+def explain(other_src: Path) -> int:
+    """Print the first differing record of each case whose stream here and
+    under other_src differ; 1 if any does."""
+    table = cases()
+    differ = 0
+    for name, config in table.items():
+        found = first_divergence(trace_lines(config), other_trace_lines(other_src, config))
+        if found is not None:
+            differ += 1
+            index, here, there = found
+            print(f"differs: {name} at record {index}\n  here:  {here}\n  other: {there}")
+    print(f"{differ} of {len(table)} traces differ from those under {other_src}")
+    return 1 if differ else 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the committed table instead of writing it")
+    parser.add_argument("--explain", metavar="OTHER_SRC", type=Path,
+                        help="print where each case's stream differs from the one "
+                             "under another source tree")
     args = parser.parse_args()
+    if args.explain is not None:
+        return explain(args.explain)
     table = {name: trace_digest(config) for name, config in cases().items()}
     if args.check:
         committed = json.loads(TABLE.read_text())

@@ -38,3 +38,63 @@ def test_check_reports_differing_cases_and_writes_nothing(tmp_path, monkeypatch,
     table["cbrp/stress/2"] = "0" * 64
     path.write_text(json.dumps(table))
     assert refresh_trace_digests.main() == 0
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    ([(0.0, "join", 1, 2), (1.0, "hop", 3)], [(0.0, "join", 1, 2), (1.0, "hop", 3)], None),
+    ([(0.0, "join", 1, 2), (1.0, "hop", 3)], [(0.0, "join", 1, 2), (1.0, "hop", 4)],
+     (1, (1.0, "hop", 3), (1.0, "hop", 4))),
+    (["a", "b"], ["a", "b", "c"], (2, None, "c")),
+    (["a", "b"], [], (0, "a", None)),
+])
+def test_first_divergence_finds_the_first_differing_record(a, b, expected):
+    assert refresh_trace_digests.first_divergence(a, b) == expected
+
+
+def test_explain_prints_the_first_differing_record_of_each_case(tmp_path, monkeypatch, capsys):
+    here = {"one": ["(0.0, 'join', 1, 2)", "{'m': 1}"], "two": ["(0.0, 'hop', 1)", "{'m': 2}"]}
+    other = {"one": here["one"], "two": ["(0.0, 'hop', 1)", "(1.0, 'hop', 2)", "{'m': 2}"]}
+    monkeypatch.setattr(refresh_trace_digests, "cases", lambda: {"one": "one", "two": "two"})
+    monkeypatch.setattr(refresh_trace_digests, "trace_lines", here.__getitem__)
+    monkeypatch.setattr(refresh_trace_digests, "other_trace_lines",
+                        lambda src, config: other[config])
+    monkeypatch.setattr(sys, "argv", ["refresh_trace_digests.py", "--explain", str(tmp_path)])
+    assert refresh_trace_digests.main() == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: two at record 1",
+        "  here:  {'m': 2}",
+        "  other: (1.0, 'hop', 2)",
+        f"1 of 2 traces differ from those under {tmp_path}",
+    ]
+    other["two"] = here["two"]
+    assert refresh_trace_digests.main() == 0
+
+
+FAKE_CBRSIM = """
+import dataclasses
+from types import SimpleNamespace as ScenarioConfig
+stress_config = None
+
+@dataclasses.dataclass
+class Metrics:
+    runs: int = 1
+
+class Sim:
+    def run_until(self, t):
+        self.trace.append((t, "fake"))
+        return Metrics()
+
+def build_simulation(config):
+    return Sim()
+"""
+
+
+def test_other_trace_lines_imports_cbrsim_from_the_given_tree(tmp_path):
+    config = refresh_trace_digests.ScenarioConfig(node_count=5, duration_s=5.0, seed=2)
+    checkout = refresh_trace_digests.HERE.parent   # cbrsim is in its src directory
+    assert (refresh_trace_digests.other_trace_lines(checkout, config)
+            == refresh_trace_digests.trace_lines(config))
+    (tmp_path / "cbrsim").mkdir()
+    (tmp_path / "cbrsim" / "__init__.py").write_text(FAKE_CBRSIM)
+    assert refresh_trace_digests.other_trace_lines(tmp_path, config) == [
+        "(5.0, 'fake')", "{'runs': 1}"]
