@@ -9,9 +9,14 @@ Events due later than now wait on a heap of (fire_time, seq, Event) tuples;
 seq is unique, so ties in time fire in scheduling order and two Events are
 never compared. Events due now, such as every delivery at zero propagation
 delay, wait on a ready deque instead, and run after the heap events due now
-(see run_until); the order is that of one (time, seq) heap. One transmission
-is one "deliver" event that hands the message to its receivers in order; a
-route request skips the receivers that have already seen it.
+(see run_until); the order is that of one (time, seq) heap.
+
+Transmissions due at the same instant share one "deliver" event while
+nothing else is scheduled between them: each hands its message to its
+receivers in order, and a route request skips the receivers that have
+already seen it. Had each transmission been its own event, the next one
+would have taken the very next (time, seq) slot, or the very next place on
+the ready deque, so the handling order is the same (see _schedule_delivery).
 
 Between two invalidate_neighbors() calls the topology is fixed, and the
 first neighbour query brings every node's receivers up to date at once. The
@@ -29,6 +34,7 @@ import heapq
 import math
 import random
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .config import ScenarioConfig
@@ -73,6 +79,10 @@ class Simulator:
         self._queue: List[Tuple[float, int, Event]] = []   # events due after now
         self._ready: Deque[Event] = deque()                # events due now
         self._seq = 0
+        # The transmissions of the newest "deliver" event, and when it is due;
+        # None once anything else was scheduled after it, or once it fired.
+        self._batch: Optional[List[Tuple[int, Sequence[int], object]]] = None
+        self._batch_time = 0.0
         self.rng = RngStreams(config.seed)
         self.nodes: Dict[int, "object"] = {}  # id -> Node, filled by the scenario builder
         self.metrics = RunMetrics()
@@ -103,6 +113,7 @@ class Simulator:
     # -- event queue -------------------------------------------------------
 
     def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> Event:
+        self._batch = None   # a later transmission must not join an earlier batch
         now, event = self.now, Event(fn)
         if fire_time == now:
             self._ready.append(event)
@@ -283,29 +294,54 @@ class Simulator:
         return ok
 
     def _schedule_delivery(self, sender_id: int, receivers: Sequence[int], message) -> None:
-        """One event hands the message to every receiver still alive, in
-        order. Per-receiver events would have had contiguous seqs, and
-        anything a handler schedules gets a larger seq, so the order of
-        handling is the same. A route request skips each receiver that has
-        already seen its id: that is handle_rreq's first test, made before
-        dispatch, so the duplicate costs one set lookup."""
-        nodes = self.nodes
-        if type(message) is RouteRequest:
-            request_id = message.request_id
+        """Hand the message to every receiver still alive, in order, at
+        now + propagation_delay_s. While nothing else has been scheduled since
+        the open batch and the delivery is due when the batch is, it joins
+        that batch; otherwise it opens a new one, scheduled as one "deliver"
+        event. Every schedule() call, and the batch's own end, closes it.
 
-            def deliver():
+        As its own event, the delivery would have fired right after the
+        batch's last member, so the handling order is the same:
+          - At the same clock reading it would have gone where the batch's
+            members went: the next seq on the heap, or the back of the ready
+            deque, behind the batch, which nothing was scheduled after.
+          - If the clock moved on while the batch waited on the heap, the
+            delivery still takes the next seq, since no seq was handed out
+            since. If the clock has reached the batch's time, it would have
+            gone on the ready deque; that runs after every heap event due now,
+            and none of those was scheduled after the batch.
+          - If the batch is firing, it is the last event due now: so the
+            delivery would have been the next event, and the batch's loop
+            runs it (a list iterator sees an appended item).
+        A route request skips each receiver that has already seen its id:
+        that is handle_rreq's first test, made at delivery time before
+        dispatch, so the duplicate costs one set lookup."""
+        fire_time = self.now + self.config.propagation_delay_s
+        batch = self._batch
+        if batch is not None and self._batch_time == fire_time:
+            batch.append((sender_id, receivers, message))
+            return
+        batch = [(sender_id, receivers, message)]
+        self.schedule(fire_time, "deliver", partial(self._deliver, batch))
+        self._batch, self._batch_time = batch, fire_time
+
+    def _deliver(self, batch: List[Tuple[int, Sequence[int], object]]) -> None:
+        nodes = self.nodes
+        for sender_id, receivers, message in batch:   # sees what joins while it runs
+            if type(message) is RouteRequest:
+                request_id = message.request_id
                 for receiver_id in receivers:
                     receiver = nodes.get(receiver_id)
                     if (receiver is not None and receiver.role != ROLE_DEAD
                             and request_id not in receiver.routing.seen_rreq):
                         receiver.handle_message(message, sender_id)
-        else:
-            def deliver():
+            else:
                 for receiver_id in receivers:
                     receiver = nodes.get(receiver_id)
                     if receiver is not None and receiver.role != ROLE_DEAD:
                         receiver.handle_message(message, sender_id)
-        self.schedule(self.now + self.config.propagation_delay_s, "deliver", deliver)
+        if self._batch is batch:
+            self._batch = None
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -18,7 +18,7 @@ round skips a dead node, so on_death cancels only the undecided timer.
 from __future__ import annotations
 
 from math import hypot
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import routing
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
@@ -93,14 +93,21 @@ class Node:
         return self.known_secondaries.get(head_id)
 
     # The one neighbour view: every decision that depends on which neighbours
-    # a node hears right now reads one of these two (the weight reads the
+    # a node hears right now reads one of these (the weight reads the
     # same test through weight_components).
 
     def fresh_neighbors(self) -> List[Hello]:
-        """The Hellos of neighbours heard within the stale timeout, in table order."""
+        """iter_fresh_neighbors() as a list."""
+        return list(self.iter_fresh_neighbors())
+
+    def iter_fresh_neighbors(self) -> Iterator[Hello]:
+        """The Hellos of neighbours heard within the stale timeout, in table
+        order, one at a time, so that a caller may stop at the first it needs."""
         cutoff = self.sim.now - self.stale_timeout_s
         heard = self.heard
-        return [h for nid, h in self.neighbors.items() if heard[nid] >= cutoff]
+        for nid, h in self.neighbors.items():
+            if heard[nid] >= cutoff:
+                yield h
 
     def current_degree_entries(self) -> List[Hello]:
         """Fresh Hellos whose advertised position is within radio range."""

@@ -106,7 +106,7 @@ def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
         return True
     if node.role != ROLE_MEMBER:
         return False
-    for entry in node.fresh_neighbors():
+    for entry in node.iter_fresh_neighbors():
         if entry.sender_id == dest_id:
             return True
         if entry.cluster_id is not None and entry.cluster_id not in recorded_path:
@@ -228,7 +228,7 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
         substitute = node.secondary_of(failed_next)
         if (substitute is not None and substitute not in route
                 and substitute not in tried
-                and any(e.sender_id == substitute for e in node.fresh_neighbors())):
+                and any(e.sender_id == substitute for e in node.iter_fresh_neighbors())):
             route[i + 1] = substitute
             _send_hop(sim, node, packet, tried)
             return

@@ -7,8 +7,13 @@ PARENT first in even pairs and CHANGE first in odd ones, so a drift of the
 host's speed falls on both sides alike. The last line of each run is its JSON
 result. For every end-to-end metric this prints each side's median and
 quartiles, the ratio of the medians and in how many pairs CHANGE was better,
-in the direction BENCHMARK.json gives. A run that reports `failed > 0` is
-flagged, and the exit status is then 1.
+in the direction BENCHMARK.json gives, then two verdicts:
+  - gain claim: met when CHANGE was better in at least nine tenths of the
+    pairs (ties count for neither side) and its median beats PARENT's by
+    more than the distance between PARENT's quartiles;
+  - bound: exceeded when CHANGE's median is worse than PARENT's by more than
+    the metric's `bound` in BENCHMARK.json, as a fraction of PARENT's median.
+A run that reports `failed > 0` is flagged, and the exit status is then 1.
 
 Standard library only; it does not import cbrsim, so it compares any two
 source trees, each with its own perfbench/.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -44,10 +50,27 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summary(results: Dict[str, List[dict]], better: Dict[str, str]) -> List[str]:
+def verdicts(parent: List[float], change: List[float], won: int, direction: str,
+             bound: float) -> List[str]:
+    """The gain-claim and bound lines of one metric."""
+    q1, p, q3 = quartiles(parent)
+    c = statistics.median(change)
+    gap = p - c if direction == "lower" else c - p     # how far CHANGE's median is better
+    iqr, need = q3 - q1, math.ceil(0.9 * len(parent))
+    claim = "met" if won >= need and gap > iqr else "not met"
+    worse = -gap / p if p else 0.0
+    side = f"{abs(worse):.1%} {'worse' if worse >= 0 else 'better'}"
+    return [f"  gain claim {claim}: better in {won} of {len(parent)} pairs, need {need}; "
+            f"median gap {gap:.4g} {'>' if gap > iqr else '<='} parent IQR {iqr:.4g}",
+            f"  bound {'exceeded' if worse > bound else 'kept'}: change median {side} "
+            f"than parent, bound {bound:.0%}"]
+
+
+def summary(results: Dict[str, List[dict]], spec: Dict[str, dict]) -> List[str]:
     """One block of lines per end-to-end metric."""
     lines = []
-    for name, direction in better.items():
+    for name, metric in spec.items():
+        direction = metric["better"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         won = sum((c < p) if direction == "lower" else (c > p)
                   for p, c in zip(values["parent"], values["change"]))
@@ -59,6 +82,7 @@ def summary(results: Dict[str, List[dict]], better: Dict[str, str]) -> List[str]
         ratio = f"{c / p:.3f}" if p else "-"
         lines.append(f"  change/parent {ratio}; change better in {won} of "
                      f"{len(values['parent'])} pairs")
+        lines += verdicts(values["parent"], values["change"], won, direction, metric["bound"])
     return lines
 
 
@@ -71,7 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    better = {m["name"]: m["better"] for m in json.loads(SPEC.read_text())["end_to_end"]}
+    spec = {m["name"]: m for m in json.loads(SPEC.read_text())["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     results: Dict[str, List[dict]] = {side: [] for side in SIDES}
     failures = []
@@ -87,7 +111,7 @@ def main(argv=None) -> int:
             f"{side} wall_ref {results[side][-1]['metrics']['wall_ref']['value']:.4g}"
             for side in SIDES), file=sys.stderr)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s each")
-    print("\n".join(summary(results, better) + failures))
+    print("\n".join(summary(results, spec) + failures))
     return 1 if failures else 0
 
 

@@ -31,3 +31,40 @@ def test_pairs_alternate_and_each_metric_is_summarised(monkeypatch, capsys):
     assert lines[wall + 3] == "  change/parent 0.839; change better in 2 of 3 pairs"
     assert "node_s_per_ref (higher is better)" in lines
     assert "  change/parent 1.025; change better in 0 of 3 pairs" in lines   # peak_rss_mb
+
+
+def test_the_gain_claim_and_the_bound_get_a_verdict(monkeypatch, capsys):
+    # wall_ref: the change wins 9 of 10 pairs by ~20%, far outside the
+    # parent's quartiles. peak_rss_mb: 30% worse, past the 15% bound.
+    parent = [3.0, 3.1, 2.9, 3.05, 2.95, 3.0, 3.1, 2.9, 3.0, 3.0]
+    change = [2.4, 2.5, 2.3, 2.45, 2.35, 2.4, 3.2, 2.3, 2.4, 2.4]
+    runs = {"a": iter([_result(w, 20.0) for w in parent]),
+            "b": iter([_result(w, 26.0) for w in change])}
+    monkeypatch.setattr(ab_pairs, "run_once", lambda checkout, args: next(runs[str(checkout)]))
+    status = ab_pairs.main(["a", "b", "--workload", "flood-traffic", "--pairs", "10"])
+    lines = capsys.readouterr().out.splitlines()
+    assert status == 0
+    wall = lines.index("wall_ref (lower is better)")
+    assert lines[wall + 4] == ("  gain claim met: better in 9 of 10 pairs, need 9; "
+                               "median gap 0.6 > parent IQR 0.075")
+    assert lines[wall + 5] == "  bound kept: change median 20.0% better than parent, bound 25%"
+    rss = lines.index("peak_rss_mb (lower is better)")
+    assert lines[rss + 4] == ("  gain claim not met: better in 0 of 10 pairs, need 9; "
+                              "median gap -6 <= parent IQR 0")
+    assert lines[rss + 5] == "  bound exceeded: change median 30.0% worse than parent, bound 15%"
+    setup = lines.index("setup_s (lower is better)")   # a tie: neither gain nor loss
+    assert lines[setup + 4].startswith("  gain claim not met: better in 0 of 10 pairs")
+    assert lines[setup + 5] == "  bound kept: change median 0.0% worse than parent, bound 25%"
+
+
+def test_a_narrow_win_in_too_few_pairs_is_no_gain(monkeypatch, capsys):
+    parent = [3.0, 3.4, 2.6, 3.2, 2.8]
+    change = [2.9, 3.3, 2.7, 3.1, 2.7]     # better in 4 of 5 pairs, by less than the IQR
+    runs = {"a": iter([_result(w, 20.0) for w in parent]),
+            "b": iter([_result(w, 20.0) for w in change])}
+    monkeypatch.setattr(ab_pairs, "run_once", lambda checkout, args: next(runs[str(checkout)]))
+    ab_pairs.main(["a", "b", "--workload", "flood-traffic", "--pairs", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    wall = lines.index("wall_ref (lower is better)")
+    assert lines[wall + 4] == ("  gain claim not met: better in 4 of 5 pairs, need 5; "
+                               "median gap 0.1 <= parent IQR 0.4")

@@ -1,9 +1,13 @@
 """Route discovery, replies, retries, data forwarding, and the two
 error-recovery policies."""
 
-import pytest
+import sys
+from collections import Counter
 
-from cbrsim import ROLE_HEAD, ROLE_MEMBER, Node, ScenarioConfig, build_simulation
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Node, ScenarioConfig, build_simulation
 from cbrsim import routing
 from cbrsim.messages import RouteReply, RouteRequest
 
@@ -318,3 +322,62 @@ def test_salvage_ignores_a_neighbour_advertised_out_of_range():
     _send_one_packet(sim)
     assert sim.metrics.dropped["route-error"] == 1
     assert (1, 5) not in hops(sim)
+
+
+# -- the relay decision -------------------------------------------------------
+
+def _relay_by_list(node, recorded_path, dest_id):
+    """The relay rule read off the whole fresh-neighbour list."""
+    if node.role == ROLE_HEAD:
+        return True
+    if node.role != ROLE_MEMBER:
+        return False
+    return (any(e.sender_id == dest_id
+                or (e.cluster_id is not None and e.cluster_id not in recorded_path)
+                for e in node.fresh_neighbors())
+            or (node.head_id is not None and node.head_id not in recorded_path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_relay_decision_agrees_with_the_fresh_neighbour_list(data):
+    ids = st.integers(min_value=0, max_value=12)
+    sim = bare_sim()
+    sim.run_until(20.0)
+    node = add_node(sim, 100, 0.0, 0.0)
+    node.role = data.draw(st.sampled_from([ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED]))
+    node.head_id = data.draw(st.none() | ids)
+    for sender in data.draw(st.lists(ids, unique=True, max_size=8)):
+        # 3.0 is the stale timeout exactly, which still counts as fresh.
+        add_neighbor(node, sender, 10.0, 0.0, cluster=data.draw(st.none() | ids),
+                     age=data.draw(st.sampled_from([0.0, 1.0, 2.9, 3.0, 3.1, STALE])))
+    path = data.draw(st.lists(ids, unique=True, min_size=1, max_size=6))
+    dest = data.draw(ids)
+    assert routing._should_relay(node, path, dest) == _relay_by_list(node, path, dest)
+
+
+def test_a_flood_builds_no_fresh_neighbour_list_to_decide_a_relay(monkeypatch):
+    callers = Counter()
+    relays = Counter()
+    fresh_neighbors, should_relay = Node.fresh_neighbors, routing._should_relay
+
+    def spy(node):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return fresh_neighbors(node)
+
+    def counting_should_relay(node, recorded_path, dest_id):
+        verdict = should_relay(node, recorded_path, dest_id)
+        relays[verdict] += 1
+        return verdict
+
+    monkeypatch.setattr(Node, "fresh_neighbors", spy)
+    monkeypatch.setattr(routing, "_should_relay", counting_should_relay)
+    config = ScenarioConfig(node_count=30, duration_s=12.0, seed=3, protocol_mode="cbrp",
+                            area_width_m=250.0, area_height_m=250.0, initial_energy=1e9,
+                            traffic_start_s=4.0, flows=5)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    assert relays[True] > 0 and relays[False] > 0   # members were asked, both ways
+    assert callers["build_hello"] > 0               # the spy sees the other callers
+    assert callers["_should_relay"] == 0
+    assert callers["recover_route"] == 0
