@@ -5,18 +5,16 @@ A single run is strictly single-threaded. All randomness flows through named
 sub-streams of one seed, so identical (config, seed) gives an identical event
 trace and identical metrics.
 
-Events due later than now wait on a heap of (fire_time, seq, Event) tuples;
-seq is unique, so ties in time fire in scheduling order and two Events are
-never compared. Events due now, such as every delivery at zero propagation
-delay, wait on a ready deque instead, and run after the heap events due now
-(see run_until); the order is that of one (time, seq) heap.
+Events wait on one heap of (fire_time, seq, Event) tuples; seq is unique
+and increasing, so ties in time fire in scheduling order and two Events are
+never compared.
 
 Transmissions due at the same instant share one "deliver" event while
 nothing else is scheduled between them: each hands its message to its
 receivers in order, and a route request skips the receivers that have
-already seen it. Had each transmission been its own event, the next one
-would have taken the very next (time, seq) slot, or the very next place on
-the ready deque, so the handling order is the same (see _schedule_delivery).
+already seen it. Had each transmission been its own event, it would have
+taken the very next seq, right behind the batch, so the handling order is
+the same (see _schedule_delivery).
 
 Between two invalidate_neighbors() calls the topology is fixed, and the
 first neighbour query brings every node's receivers up to date at once. The
@@ -33,9 +31,8 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections import deque
 from functools import partial
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .config import ScenarioConfig
 from .geometry import distance
@@ -76,8 +73,7 @@ class Simulator:
         config.validate()
         self.config = config
         self.now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []   # events due after now
-        self._ready: Deque[Event] = deque()                # events due now
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         # The transmissions of the newest "deliver" event, and when it is due;
         # None once anything else was scheduled after it, or once it fired.
@@ -114,42 +110,23 @@ class Simulator:
 
     def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> Event:
         self._batch = None   # a later transmission must not join an earlier batch
-        now, event = self.now, Event(fn)
-        if fire_time == now:
-            self._ready.append(event)
-        elif fire_time > now:
-            heapq.heappush(self._queue, (fire_time, self._seq, event))
-            self._seq += 1
-        else:   # before now, or NaN, which compares false with everything
-            raise ValueError(f"cannot schedule {kind!r} at {fire_time}: not at or after now={now}")
+        if not fire_time >= self.now:   # before now, or NaN, which compares false
+            raise ValueError(f"cannot schedule {kind!r} at {fire_time}: "
+                             f"not at or after now={self.now}")
+        event = Event(fn)
+        heapq.heappush(self._queue, (fire_time, self._seq, event))
+        self._seq += 1
         return event
 
     def run_until(self, t_end: float) -> RunMetrics:
         """Run every event due at or before t_end, in (fire time, scheduling
-        order), then set the clock to t_end if it is behind.
-
-        Events due now wait on the ready deque, in the order they were
-        scheduled; every other event is on the heap. A heap event due now was
-        scheduled while the clock was still earlier, so it comes before every
-        ready event, each scheduled at now; it runs first. A ready event can
-        only add heap events due later, so once the heap has none due now the
-        ready events run in turn, and then the clock moves to the next heap
-        event. This is the order of one (time, seq) heap. Nothing runs when
-        now is already past t_end."""
-        queue, ready = self._queue, self._ready
-        pop, popleft = heapq.heappop, ready.popleft
-        now = self.now
-        if now <= t_end:
-            while True:
-                if ready:
-                    event = pop(queue)[2] if queue and queue[0][0] == now else popleft()
-                elif queue and queue[0][0] <= t_end:
-                    now, _, event = pop(queue)
-                    self.now = now
-                else:
-                    break
-                if not event.cancelled:
-                    event.fn()
+        order), then set the clock to t_end if it is behind. No event is due
+        before now, so nothing runs when now is already past t_end."""
+        queue, pop = self._queue, heapq.heappop
+        while queue and queue[0][0] <= t_end:
+            self.now, _, event = pop(queue)
+            if not event.cancelled:
+                event.fn()
         self.now = max(self.now, t_end)
         return self.metrics
 
@@ -300,19 +277,12 @@ class Simulator:
         that batch; otherwise it opens a new one, scheduled as one "deliver"
         event. Every schedule() call, and the batch's own end, closes it.
 
-        As its own event, the delivery would have fired right after the
-        batch's last member, so the handling order is the same:
-          - At the same clock reading it would have gone where the batch's
-            members went: the next seq on the heap, or the back of the ready
-            deque, behind the batch, which nothing was scheduled after.
-          - If the clock moved on while the batch waited on the heap, the
-            delivery still takes the next seq, since no seq was handed out
-            since. If the clock has reached the batch's time, it would have
-            gone on the ready deque; that runs after every heap event due now,
-            and none of those was scheduled after the batch.
-          - If the batch is firing, it is the last event due now: so the
-            delivery would have been the next event, and the batch's loop
-            runs it (a list iterator sees an appended item).
+        As its own event, the delivery would have taken the next seq, and no
+        seq has been handed out since the batch opened: due when the batch
+        is, it would have fired right after the batch's last member, so the
+        handling order is the same. If the batch is firing, the delivery
+        would have been the next event, and the batch's loop runs it (a list
+        iterator sees an appended item).
         A route request skips each receiver that has already seen its id:
         that is handle_rreq's first test, made at delivery time before
         dispatch, so the duplicate costs one set lookup."""

@@ -9,10 +9,11 @@ knows the cluster's secondary promotes itself (if it is the secondary) or
 re-homes to it (if it hears it); otherwise, and so always in cbrp, it goes
 back through the undecided formation procedure.
 
-The only clustering timer a node holds is its undecided timer. A node sends
-its first HELLO in on_startup, and every later one when the scenario's HELLO
-round (one event per hello_interval_s for all nodes) calls send_hello. The
-round skips a dead node, so on_death cancels only the undecided timer.
+The only clustering timer a node holds is its undecided timer, first armed
+by the scenario's startup event. A node sends a HELLO when the scenario's
+HELLO round (once at startup, then one event per hello_interval_s for all
+nodes) calls send_hello. The round skips a dead node, so on_death cancels
+only the undecided timer.
 """
 
 from __future__ import annotations
@@ -155,12 +156,7 @@ class Node:
         """The weight this node stands for election with: None in cbrp."""
         return self.weight_now(fresh) if self.mode == "ecbrp" else None
 
-    # -- startup and timers ------------------------------------------------
-
-    def on_startup(self) -> None:
-        if self.alive:
-            self.send_hello()
-            self._restart_undecided_timer()
+    # -- timers ------------------------------------------------------------
 
     def _restart_undecided_timer(self) -> None:
         self._cancel_undecided_timer()

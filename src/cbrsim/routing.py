@@ -17,7 +17,6 @@ class _Pending:
     dest_id: int
     seq: Optional[int]      # None while deferred (source still undecided)
     retry: int = 0
-    timer: object = None
 
 
 @dataclass
@@ -64,8 +63,7 @@ def initiate_discovery(sim: Simulator, node, dest_id: int) -> None:
                 del state.pending[dest_id]
                 if node.alive:
                     initiate_discovery(sim, node, dest_id)
-        pending.timer = sim.schedule(sim.now + sim.config.hello_interval_s,
-                                     "discovery-deferred", retry_deferred)
+        sim.schedule(sim.now + sim.config.hello_interval_s, "discovery-deferred", retry_deferred)
         return
     seq = state.request_seq
     state.request_seq += 1
@@ -94,7 +92,7 @@ def _send_rreq(sim: Simulator, node, pending: _Pending) -> None:
             _send_rreq(sim, node, pending)
         else:
             del state.pending[pending.dest_id]
-    pending.timer = sim.schedule(sim.now + sim.config.rreq_timeout_s, "rreq-timeout", on_timeout)
+    sim.schedule(sim.now + sim.config.rreq_timeout_s, "rreq-timeout", on_timeout)
 
 
 def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
@@ -167,9 +165,7 @@ def _establish_route(sim: Simulator, node, rrep: RouteReply) -> None:
     pending = state.pending.get(dest)
     if source != node.node_id or pending is None or pending.seq != seq:
         return  # unknown or already-satisfied request: first reply wins
-    if pending.timer is not None:
-        pending.timer.cancel()
-    del state.pending[dest]
+    del state.pending[dest]   # its timeout finds another pending entry, or none, and returns
     state.routes[dest] = list(rrep.full_path)
     for pid in state.queued.get(dest, []):
         forward_data(sim, node, DataPacket(pid, node.node_id, dest, list(rrep.full_path)))

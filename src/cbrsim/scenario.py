@@ -79,10 +79,12 @@ def _every(sim: Simulator, first: float, period: float, kind: str,
 
 
 def _start(sim: Simulator, nodes: List[Node]) -> None:
-    """The one "startup" event, at t = 0: arm the HELLO round, then start
-    each node in sim.nodes order (its first HELLO, then its undecided
-    timer). Every hello_interval_s from then on, the round sends a HELLO
-    from each of these nodes that is still alive, in the same order.
+    """The one "startup" event, at t = 0: arm the HELLO round, send its
+    first HELLOs now, then arm the undecided timer of each node still alive,
+    in sim.nodes order. Every hello_interval_s from then on, the round sends
+    a HELLO from each of these nodes that is still alive, in the same order.
+    With nothing scheduled between them, the startup HELLOs share one
+    delivery batch.
 
     The round replaces one timer per node, armed in the node's own startup
     event right after its first HELLO and re-armed after each send. Events
@@ -90,10 +92,10 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
     round takes the place of the whole block of old timers due at one
     instant. Between two of those timers ran only what the timers
     scheduled: a HELLO's delivery, due at now + propagation_delay_s, and
-    the next timer (heap events due now run before the ready deque, so even
-    zero-delay deliveries wait for the whole block). Every other event due
-    at a round instant was scheduled before the block or after it, and so
-    fires before or after the round alike:
+    the next timer (a zero-delay delivery takes a later seq than every
+    timer of the block, so it waits for the whole block). Every other event
+    due at a round instant was scheduled before the block or after it, and
+    so fires before or after the round alike:
       - build_simulation and its caller schedule before the startup event
         runs, so the mobility tick (due with every round at the defaults)
         and a force_kill at t = hello_interval_s still come first. A round
@@ -101,7 +103,8 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
       - every later event is scheduled before or after the instant at which
         the block re-armed itself, and the round re-arms at that instant.
     The trace therefore changes only where an event due at a round instant
-    was scheduled in the middle of a block. Two exact ties do that:
+    was scheduled in the middle of a block, or where a startup delivery is
+    due with a startup timer. Three exact ties do that:
       - propagation_delay_s == hello_interval_s: each node's delivery was
         due between two nodes' timers (d0, h0, d1, h1, ...). The round
         fires before the startup HELLOs' deliveries and after those of
@@ -110,6 +113,10 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
         startup alternated with the timers at t = hello_interval_s (h0, u0,
         h1, u1, ...); the round sends every HELLO before the first
         undecided timeout.
+      - propagation_delay_s == undecided_timer_s(): each node armed its
+        undecided timer right after its first HELLO, so the startup
+        deliveries and timers alternated (d0, u0, d1, u1, ...); every
+        startup HELLO is now delivered before the first undecided timeout.
     """
     interval = sim.config.hello_interval_s
 
@@ -119,8 +126,10 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
                 node.send_hello()
 
     _every(sim, sim.now + interval, interval, "hello", hello_round)
+    hello_round()
     for node in nodes:
-        node.on_startup()
+        if node.alive:
+            node._restart_undecided_timer()
 
 
 def _draw_flows(sim: Simulator) -> List[Tuple[int, int]]:

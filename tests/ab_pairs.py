@@ -1,7 +1,10 @@
 """Run the benchmark in two checkouts, in alternating pairs, and compare.
 
     python3 tests/ab_pairs.py PARENT CHANGE --workload flood-traffic --pairs 5 --seconds 30
+    python3 tests/ab_pairs.py PARENT CHANGE --workload flood-traffic,paper-sweep,beacon-dense
 
+--workload takes one workload or a comma-separated list; the workloads run
+in turn, each with its own pairs, and each gets its own block of output.
 Each pair runs `python3 perfbench/run.py --trace 0` once in each checkout,
 PARENT first in even pairs and CHANGE first in odd ones, so a drift of the
 host's speed falls on both sides alike. The last line of each run is its JSON
@@ -13,7 +16,8 @@ in the direction BENCHMARK.json gives, then two verdicts:
     more than the distance between PARENT's quartiles;
   - bound: exceeded when CHANGE's median is worse than PARENT's by more than
     the metric's `bound` in BENCHMARK.json, as a fraction of PARENT's median.
-A run that reports `failed > 0` is flagged, and the exit status is then 1.
+A run that reports `failed > 0` is flagged, and the exit status is then 1,
+whichever workload it was in.
 
 Standard library only; it does not import cbrsim, so it compares any two
 source trees, each with its own perfbench/.
@@ -86,17 +90,8 @@ def summary(results: Dict[str, List[dict]], spec: Dict[str, dict]) -> List[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    spec = {m["name"]: m for m in json.loads(SPEC.read_text())["end_to_end"]}
-    checkouts = {"parent": args.parent, "change": args.change}
+def compare(checkouts: Dict[str, Path], args) -> bool:
+    """Run one workload's pairs and print its block; True if any run failed."""
     results: Dict[str, List[dict]] = {side: [] for side in SIDES}
     failures = []
     for pair in range(args.pairs):
@@ -107,12 +102,30 @@ def main(argv=None) -> int:
             if result["failed"] > 0:
                 failures.append(f"FAILED: {side} pair {pair} reported failed "
                                 f"{result['failed']} of {result['attempted']}")
-        print(f"pair {pair} ({order[0]} first): " + "  ".join(
+        print(f"{args.workload} pair {pair} ({order[0]} first): " + "  ".join(
             f"{side} wall_ref {results[side][-1]['metrics']['wall_ref']['value']:.4g}"
             for side in SIDES), file=sys.stderr)
+    spec = {m["name"]: m for m in json.loads(SPEC.read_text())["end_to_end"]}
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, {args.seconds:g} s each")
     print("\n".join(summary(results, spec) + failures))
-    return 1 if failures else 0
+    return bool(failures)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma-separated list run in turn")
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    failed = False
+    for workload in args.workload.split(","):
+        failed |= compare(checkouts, argparse.Namespace(**{**vars(args), "workload": workload}))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ change can keep every node's end state and still reorder elections; these
 digests catch that. Run this only in a change that means to alter simulated
 behaviour: tests/test_trace_digests.py fails on any run whose digest differs
 from the table. The matrix is both modes x four scenarios x seeds 1-3.
-Only delayed-n60 has a positive propagation delay, so only it sends
-deliveries through the heap at a later time and has copies of one route
-request arrive at different times.
+Only delayed-n60 has a positive propagation delay, so only it delivers
+later than the send and has copies of one route request arrive at different
+times.
 
 --check writes nothing: it recomputes the table, prints each case whose
 digest differs from the committed one and exits 1 if any does. It needs only

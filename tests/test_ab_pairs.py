@@ -68,3 +68,33 @@ def test_a_narrow_win_in_too_few_pairs_is_no_gain(monkeypatch, capsys):
     wall = lines.index("wall_ref (lower is better)")
     assert lines[wall + 4] == ("  gain claim not met: better in 4 of 5 pairs, need 5; "
                                "median gap 0.1 <= parent IQR 0.4")
+
+
+def test_each_workload_of_a_list_runs_its_pairs_and_gets_its_block(monkeypatch, capsys):
+    calls = []
+    runs = {("a", "flood-traffic"): iter([_result(3.0, 20.0), _result(3.2, 20.0)]),
+            ("b", "flood-traffic"): iter([_result(2.5, 20.0), _result(2.6, 20.0)]),
+            ("a", "paper-sweep"): iter([_result(9.0, 30.0), _result(9.2, 30.0)]),
+            ("b", "paper-sweep"): iter([_result(9.1, 30.0), _result(9.3, 30.0, failed=2)])}
+
+    def fake_run(checkout, args):
+        calls.append((str(checkout), args.workload))
+        return next(runs[str(checkout), args.workload])
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    status = ab_pairs.main(["a", "b", "--workload", "flood-traffic,paper-sweep", "--pairs", "2"])
+    out = capsys.readouterr().out
+    assert calls == [("a", "flood-traffic"), ("b", "flood-traffic"),
+                     ("b", "flood-traffic"), ("a", "flood-traffic"),
+                     ("a", "paper-sweep"), ("b", "paper-sweep"),
+                     ("b", "paper-sweep"), ("a", "paper-sweep")]
+    assert status == 1   # a failed run in the second workload still counts
+    lines = out.splitlines()
+    flood = lines.index("flood-traffic seed 1, 2 pairs, 30 s each")
+    sweep = lines.index("paper-sweep seed 1, 2 pairs, 30 s each")
+    assert flood < sweep
+    assert lines[flood + 2] == "  parent  median 3.1  quartiles [3.05, 3.15]"
+    assert lines[sweep + 2] == "  parent  median 9.1  quartiles [9.05, 9.15]"
+    assert lines[sweep + 3] == "  change  median 9.2  quartiles [9.15, 9.25]"
+    assert [line for line in lines if line.startswith("FAILED")] == [
+        "FAILED: change pair 1 reported failed 2 of 3"]
+    assert lines.index("FAILED: change pair 1 reported failed 2 of 3") > sweep

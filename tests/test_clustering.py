@@ -131,6 +131,35 @@ def test_round_sends_every_hello_before_a_tied_undecided_timeout(monkeypatch):
     assert at_round[:first_timeout] == [("hello", i) for i in sim.nodes]
 
 
+def test_every_startup_hello_is_delivered_before_a_tied_undecided_timeout(monkeypatch):
+    # With propagation_delay_s == undecided_timer_s() the startup HELLOs are
+    # due with the undecided timers armed at startup. Each node once armed
+    # its timer right after its first HELLO, so they alternated (d0, u0, d1,
+    # u1, ...); the startup event now sends every HELLO first, in one batch.
+    log = []
+    on_hello, on_undecided_timeout = Node.on_hello, Node.on_undecided_timeout
+
+    def hello_spy(node, hello, sender_id):
+        log.append((node.sim.now, "hello", sender_id))
+        on_hello(node, hello, sender_id)
+
+    def timeout_spy(node):
+        log.append((node.sim.now, "timeout", node.node_id))
+        on_undecided_timeout(node)
+    monkeypatch.setattr(Node, "on_hello", hello_spy)
+    monkeypatch.setattr(Node, "on_undecided_timeout", timeout_spy)
+    config = ScenarioConfig(node_count=8, duration_s=3.0, seed=1, initial_energy=1e9,
+                            undecided_timer_intervals=2.0, propagation_delay_s=2.0)
+    assert config.propagation_delay_s == config.undecided_timer_s()
+    sim = build_simulation(config)
+    sim.run_until(config.propagation_delay_s)
+    at_tie = [(what, i) for t, what, i in log if t == config.propagation_delay_s]
+    first_timeout = [what for what, _ in at_tie].index("timeout")
+    senders = {i for what, i in at_tie[:first_timeout]}
+    assert senders == {i for i in sim.nodes if sim.alive_in_range(i)}
+    assert "hello" not in [what for what, _ in at_tie[first_timeout:]]
+
+
 # -- joining ----------------------------------------------------------------
 
 def test_undecided_joins_lowest_weight_head():

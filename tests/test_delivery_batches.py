@@ -128,6 +128,19 @@ def test_a_zero_delay_hello_round_is_one_deliver_event(monkeypatch):
         assert counts["round_deliver"][t] == counts["deliver"][t] == 1
 
 
+@pytest.mark.parametrize("n", [8, 30])
+def test_a_zero_delay_start_is_one_deliver_event(n, monkeypatch):
+    # The startup event sends every node's first HELLO before it arms any
+    # undecided timer, so nothing is scheduled between the HELLOs.
+    counts = _count_deliveries(monkeypatch)
+    config = ScenarioConfig(node_count=n, duration_s=1.0, seed=1, initial_energy=1e9)
+    sim = build_simulation(config)
+    sim.run_until(0.0)
+    assert counts["deliver"] == {0.0: 1}
+    for i, node in sim.nodes.items():
+        assert sorted(node.neighbors) == sorted(sim.alive_in_range(i))
+
+
 def test_the_relays_of_one_flood_wave_share_one_deliver_event(monkeypatch):
     counts = _count_deliveries(monkeypatch)
     # One packet from 0 to 7 at t = 9.25, once every node is clustered and

@@ -111,6 +111,38 @@ def test_first_reply_wins():
     assert source.routing.routes[9] == [0, 4, 7, 9]
 
 
+def _answered_discovery():
+    """A head source at t = 0 whose discovery of 9 got its reply at once."""
+    sim = bare_sim()
+    source = add_node(sim, 0, 0.0, 0.0)
+    source.role = ROLE_HEAD
+    routing.initiate_discovery(sim, source, 9)
+    routing.handle_rrep(sim, source, RouteReply((0, 0, 0), [0, 4, 7, 9], 0))
+    return sim, source.routing
+
+
+def test_a_timeout_after_the_reply_does_nothing():
+    sim, state = _answered_discovery()
+    sim.run_until(sim.config.rreq_timeout_s + 0.5)
+    assert state.pending == {}
+    assert state.seen_rreq == {(0, 0, 0)}   # no retry was sent
+    assert sim.metrics.total_dropped == 0
+
+
+def test_a_timeout_after_the_reply_leaves_a_newer_discovery_alone():
+    sim, state = _answered_discovery()
+    sim.run_until(1.0)
+    source = sim.nodes[0]
+    routing.handle_rerr(sim, source, 9)
+    routing.initiate_discovery(sim, source, 9)
+    newer = state.pending[9]
+    sim.run_until(sim.config.rreq_timeout_s + 0.5)   # past the first timeout only
+    assert state.pending == {9: newer}
+    assert newer.retry == 0
+    assert state.seen_rreq == {(0, 0, 0), (0, 1, 0)}
+    assert sim.metrics.total_dropped == 0
+
+
 def test_reply_after_give_up_is_ignored():
     sim = static_sim({0: (0, 0), 1: (40, 0), 2: (300, 300)}, mode="cbrp",
                      flow_pairs=[(0, 2)], flows=None, duration_s=30.0)
