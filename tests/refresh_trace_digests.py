@@ -9,10 +9,14 @@ join, discovery path and data hop, with its time) plus its `RunMetrics`. A
 change can keep every node's end state and still reorder elections; these
 digests catch that. Run this only in a change that means to alter simulated
 behaviour: tests/test_trace_digests.py fails on any run whose digest differs
-from the table. The matrix is both modes x four scenarios x seeds 1-3.
-Only delayed-n60 has a positive propagation delay, so only it delivers
-later than the send and has copies of one route request arrive at different
-times.
+from the table. The matrix is both modes x seven scenarios x seeds 1-3.
+Three of them sit at the exact ties where two kinds of event are due at the
+same instant, so a change of order at a tie moves their digests:
+delay-is-interval (propagation_delay_s == hello_interval_s), timer-is-interval
+(undecided_timer_intervals == 1) and delay-is-timer (propagation_delay_s ==
+undecided_timer_s()). Those with a positive propagation delay, delayed-n60
+and two of the ties, deliver later than the send, and copies of one route
+request can arrive at different times.
 
 --check writes nothing: it recomputes the table, prints each case whose
 digest differs from the committed one and exits 1 if any does. It needs only
@@ -51,11 +55,20 @@ def _ample_n60(mode: str, seed: int) -> ScenarioConfig:
                           initial_energy=1e9)
 
 
+def _tie_n40(mode: str, seed: int, **tie) -> ScenarioConfig:
+    """n = 40 for 40 s on the default battery, with the default timers
+    (hello_interval_s 1, undecided_timer_s() 2) but for the tie given."""
+    return ScenarioConfig(node_count=40, duration_s=40.0, seed=seed, protocol_mode=mode, **tie)
+
+
 SCENARIOS = {
     "default-n30": lambda mode, seed: ScenarioConfig(
         node_count=30, duration_s=60.0, seed=seed, protocol_mode=mode),
     "ample-n60": _ample_n60,
     "stress": stress_config,
+    "delay-is-interval": lambda mode, seed: _tie_n40(mode, seed, propagation_delay_s=1.0),
+    "timer-is-interval": lambda mode, seed: _tie_n40(mode, seed, undecided_timer_intervals=1.0),
+    "delay-is-timer": lambda mode, seed: _tie_n40(mode, seed, propagation_delay_s=2.0),
     "delayed-n60": lambda mode, seed: dataclasses.replace(
         _ample_n60(mode, seed), propagation_delay_s=0.002),
 }
