@@ -5,9 +5,10 @@ A single run is strictly single-threaded. All randomness flows through named
 sub-streams of one seed, so identical (config, seed) gives an identical event
 trace and identical metrics.
 
-Events wait on one heap of (fire_time, seq, Event) tuples; seq is unique
-and increasing, so ties in time fire in scheduling order and two Events are
-never compared.
+Events wait on one heap of (fire_time, seq, fn) tuples; seq is unique and
+increasing, so ties in time fire in scheduling order and two callbacks are
+never compared. Nothing takes an event off the heap: a callback that may
+have been superseded checks that itself when it runs, and returns.
 
 Transmissions due at the same instant share one "deliver" event while
 nothing else is scheduled between them: each hands its message to its
@@ -45,19 +46,6 @@ ROLE_MEMBER = "member"
 ROLE_DEAD = "dead"
 
 
-class Event:
-    """A scheduled callback; the holder may cancel() it before it fires."""
-
-    __slots__ = ("fn", "cancelled")
-
-    def __init__(self, fn: Callable[[], None]):
-        self.fn = fn
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
 class RngStreams:
     """Named, independently seeded sub-streams of one run seed."""
 
@@ -73,7 +61,7 @@ class Simulator:
         config.validate()
         self.config = config
         self.now = 0.0
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         # The transmissions of the newest "deliver" event, and when it is due;
         # None once anything else was scheduled after it, or once it fired.
@@ -108,15 +96,13 @@ class Simulator:
 
     # -- event queue -------------------------------------------------------
 
-    def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> Event:
+    def schedule(self, fire_time: float, kind: str, fn: Callable[[], None]) -> None:
         self._batch = None   # a later transmission must not join an earlier batch
         if not fire_time >= self.now:   # before now, or NaN, which compares false
             raise ValueError(f"cannot schedule {kind!r} at {fire_time}: "
                              f"not at or after now={self.now}")
-        event = Event(fn)
-        heapq.heappush(self._queue, (fire_time, self._seq, event))
+        heapq.heappush(self._queue, (fire_time, self._seq, fn))
         self._seq += 1
-        return event
 
     def run_until(self, t_end: float) -> RunMetrics:
         """Run every event due at or before t_end, in (fire time, scheduling
@@ -124,9 +110,8 @@ class Simulator:
         before now, so nothing runs when now is already past t_end."""
         queue, pop = self._queue, heapq.heappop
         while queue and queue[0][0] <= t_end:
-            self.now, _, event = pop(queue)
-            if not event.cancelled:
-                event.fn()
+            self.now, _, fn = pop(queue)
+            fn()
         self.now = max(self.now, t_end)
         return self.metrics
 

@@ -10,10 +10,12 @@ re-homes to it (if it hears it); otherwise, and so always in cbrp, it goes
 back through the undecided formation procedure.
 
 The only clustering timer a node holds is its undecided timer, first armed
-by the scenario's startup event. A node sends a HELLO when the scenario's
-HELLO round (once at startup, then one event per hello_interval_s for all
-nodes) calls send_hello. The round skips a dead node, so on_death cancels
-only the undecided timer.
+by the scenario's startup event. It stays on the queue: re-arming supersedes
+the armed one, which then returns when due, and on_undecided_timeout
+returns unless the node is alive and undecided. A node sends a HELLO when
+the scenario's HELLO round (once at startup, then one event per
+hello_interval_s for all nodes) calls send_hello; the round skips a dead
+node.
 """
 
 from __future__ import annotations
@@ -159,15 +161,14 @@ class Node:
     # -- timers ------------------------------------------------------------
 
     def _restart_undecided_timer(self) -> None:
-        self._cancel_undecided_timer()
-        self._undecided_timer = self.sim.schedule(
-            self.sim.now + self.sim.config.undecided_timer_s(),
-            "undecided-timeout", self.on_undecided_timeout)
-
-    def _cancel_undecided_timer(self) -> None:
-        if self._undecided_timer is not None:
-            self._undecided_timer.cancel()
-            self._undecided_timer = None
+        """Arm the undecided timer. It calls on_undecided_timeout only if it
+        is still the newest one armed; an older one returns when due."""
+        def fire() -> None:
+            if self._undecided_timer is fire:
+                self.on_undecided_timeout()
+        self._undecided_timer = fire
+        self.sim.schedule(self.sim.now + self.sim.config.undecided_timer_s(),
+                          "undecided-timeout", fire)
 
     def build_hello(self) -> Hello:
         # Weight is recomputed immediately before every broadcast.
@@ -285,7 +286,6 @@ class Node:
             self._join(best)
 
     def _join(self, entry: Hello) -> None:
-        was_undecided = self.role == ROLE_UNDECIDED
         if self.role == ROLE_HEAD:
             self._stop_heading()
         self.role = ROLE_MEMBER
@@ -293,8 +293,6 @@ class Node:
         self.secondary = entry.secondary_id
         if self.sim.trace is not None:
             self.sim.record("join", self.node_id, entry.sender_id, entry.sender_weight)
-        if was_undecided:
-            self._cancel_undecided_timer()
 
     # -- election ----------------------------------------------------------
 
@@ -320,7 +318,6 @@ class Node:
             self.become_head(beaten_weights)
 
     def become_head(self, contested_weights: Tuple[float, ...] = ()) -> None:
-        self._cancel_undecided_timer()
         self.role = ROLE_HEAD
         self.head_id = self.node_id
         self.secondary = None
@@ -401,4 +398,3 @@ class Node:
     def on_death(self) -> None:
         self._stop_heading()
         self.role = ROLE_DEAD
-        self._cancel_undecided_timer()

@@ -239,8 +239,37 @@ def test_isolated_node_stays_undecided_and_repeats():
     sim.run_until(10.0)
     node = sim.nodes[0]
     assert node.role == ROLE_UNDECIDED
-    assert node._undecided_timer is not None      # procedure re-armed
+    # The procedure is re-armed: the node's live timer is on the queue, due later.
+    due = [t for t, _, fn in sim._queue if fn is node._undecided_timer]
+    assert len(due) == 1 and due[0] > sim.now
     assert sim.metrics.cluster_reformations == 0
+
+
+@pytest.mark.parametrize("supersede", ["re-arm", "join-then-revert"])
+def test_a_superseded_undecided_timer_returns_when_due(supersede, monkeypatch):
+    # The timer armed at 0 s (due at 2 s) is superseded at 1 s, either
+    # directly or by joining a head and going back to undecided. It stays on
+    # the queue but returns when due: the timeout runs once, at 3 s.
+    calls = []
+    on_undecided_timeout = Node.on_undecided_timeout
+
+    def spy(node):
+        calls.append(node.sim.now)
+        on_undecided_timeout(node)
+    monkeypatch.setattr(Node, "on_undecided_timeout", spy)
+    sim = bare_sim()
+    node = add_node(sim, 0, 0.0, 0.0)
+    node._restart_undecided_timer()
+    sim.schedule(1.0, "advance", lambda: None)
+    sim.run_until(1.0)
+    if supersede == "re-arm":
+        node._restart_undecided_timer()
+    else:
+        node._join(head_hello(2, 1.0))
+        node.revert_undecided()
+    assert node.role == ROLE_UNDECIDED
+    sim.run_until(3.5)
+    assert calls == [1.0 + sim.config.undecided_timer_s()]
 
 
 def test_election_winner_weight_not_above_contested_weights():
