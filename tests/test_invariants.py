@@ -1,0 +1,73 @@
+"""Role and route invariants that the clustering and routing code relies on
+without testing them: every call of the functions below, over a matrix of
+whole runs, meets the condition written next to it.
+
+A node leaves the undecided state only by joining a head or by winning the
+election; a head stops heading only by losing contention or by dying; only a
+member falls back to undecided. A route reply retraces its recorded path hop
+by hop, and a data packet is only handled by the node at its cursor."""
+
+from collections import Counter
+
+from cbrsim import ROLE_HEAD, ROLE_MEMBER, ScenarioConfig, routing
+from cbrsim.node import Node
+from cbrsim.scenario import build_simulation
+from cbrsim.traces import run_failover_trace, stress_config
+
+
+def _forward_data(sim, node, packet):
+    if not node.alive:
+        return None   # a transmission drained it: dropped as dead-forwarder
+    route, i = packet.route, packet.cursor
+    return route[i] == node.node_id and i + 1 < len(route)
+
+
+# (owner, function name, condition on the call's arguments). A condition
+# returns None for a call it does not apply to; such a call is not counted.
+INVARIANTS = (
+    (routing, "handle_rrep",
+     lambda sim, node, rrep: rrep.full_path[rrep.cursor] == node.node_id),
+    (routing, "forward_data", _forward_data),
+    (routing, "_start_rrep", lambda sim, node, request_id, full_path: len(full_path) >= 2),
+    (Node, "_join", lambda node, entry: node.role != ROLE_HEAD),
+    (Node, "revert_undecided", lambda node: node.role == ROLE_MEMBER),
+    (Node, "_reelect_secondary", lambda node: node.role == ROLE_HEAD),
+    (Node, "_head_contention",
+     lambda node, hello, sender_id: None if node.mode != "ecbrp"
+     else node.last_advertised_weight is not None),
+)
+
+
+def _matrix():
+    for mode in ("cbrp", "ecbrp"):
+        yield ScenarioConfig(node_count=30, duration_s=60.0, seed=1, protocol_mode=mode)
+        yield stress_config(mode, 1)
+        yield ScenarioConfig(node_count=60, duration_s=40.0, seed=1, protocol_mode=mode,
+                             initial_energy=1e9, route_cache=True,
+                             propagation_delay_s=0.002)
+
+
+def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
+    calls = Counter()
+    broken = []
+
+    def spy(owner, name, holds):
+        original = getattr(owner, name)
+
+        def checked(*args):
+            verdict = holds(*args)
+            if verdict is not None:
+                calls[name] += 1
+                if not verdict:
+                    broken.append((name, args))
+            return original(*args)
+        monkeypatch.setattr(owner, name, checked)
+
+    for owner, name, holds in INVARIANTS:
+        spy(owner, name, holds)
+    for config in _matrix():
+        build_simulation(config).run_until(config.duration_s)
+    for mode in ("cbrp", "ecbrp"):
+        run_failover_trace(mode)
+    assert not broken, broken[:5]
+    assert set(calls) == {name for _, name, _ in INVARIANTS}, calls
