@@ -281,19 +281,20 @@ class Simulator:
         self._batch, self._batch_time = batch, fire_time
 
     def _deliver(self, batch: List[Tuple[int, Sequence[int], object]]) -> None:
+        # Every receiver is a node of this run: alive_in_range found it, or
+        # unicast checked it. It may have died since the send.
         nodes = self.nodes
         for sender_id, receivers, message in batch:   # sees what joins while it runs
             if type(message) is RouteRequest:
                 request_id = message.request_id
                 for receiver_id in receivers:
-                    receiver = nodes.get(receiver_id)
-                    if (receiver is not None and receiver.role != ROLE_DEAD
-                            and request_id not in receiver.routing.seen_rreq):
+                    receiver = nodes[receiver_id]
+                    if receiver.role != ROLE_DEAD and request_id not in receiver.routing.seen_rreq:
                         receiver.handle_message(message, sender_id)
             else:
                 for receiver_id in receivers:
-                    receiver = nodes.get(receiver_id)
-                    if receiver is not None and receiver.role != ROLE_DEAD:
+                    receiver = nodes[receiver_id]
+                    if receiver.role != ROLE_DEAD:
                         receiver.handle_message(message, sender_id)
         if self._batch is batch:
             self._batch = None

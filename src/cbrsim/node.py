@@ -9,10 +9,24 @@ knows the cluster's secondary promotes itself (if it is the secondary) or
 re-homes to it (if it hears it); otherwise, and so always in cbrp, it goes
 back through the undecided formation procedure.
 
+The roles change only along these edges, and the methods rely on it
+without testing it:
+  - undecided -> member by _join, or -> head by become_head (the election);
+  - head -> member only by losing _head_contention;
+  - member -> member by _join or a re-home to the secondary; member -> head
+    by promotion in place; member -> undecided by revert_undecided, when
+    its head is gone and no other head or secondary takes it in;
+  - any role -> dead, which is final; ROLE_DEAD is not ROLE_UNDECIDED.
+So _join and revert_undecided never run on a head, revert_undecided always
+counts a reformation, _reelect_secondary runs on heads only, a member
+always has a head_id, and an ecbrp head has advertised its weight, since
+become_head sends a HELLO. tests/test_invariants.py checks these on every
+call over whole runs.
+
 The only clustering timer a node holds is its undecided timer, first armed
 by the scenario's startup event. It stays on the queue: re-arming supersedes
 the armed one, which then returns when due, and on_undecided_timeout
-returns unless the node is alive and undecided. A node sends a HELLO when
+returns unless the node is undecided. A node sends a HELLO when
 the scenario's HELLO round (once at startup, then one event per
 hello_interval_s for all nodes) calls send_hello; the round skips a dead
 node.
@@ -241,11 +255,11 @@ class Node:
 
     def _head_contention(self, hello: Hello, sender_id: int) -> None:
         # Compare advertised weights on both sides so the two heads reach
-        # opposite verdicts and exactly one of them demotes.
-        mine = self.last_advertised_weight
-        if mine is None:
-            mine = self.election_weight()
-        if _rank(hello.sender_weight, sender_id) < _rank(mine, self.node_id):
+        # opposite verdicts and exactly one of them demotes. become_head sent
+        # a HELLO, so an ecbrp head has advertised its weight (a cbrp head
+        # advertises none and ranks by id).
+        mine = _rank(self.last_advertised_weight, self.node_id)
+        if _rank(hello.sender_weight, sender_id) < mine:
             self._stop_heading()
             self.role = ROLE_MEMBER
             self.head_id = sender_id
@@ -279,15 +293,13 @@ class Node:
 
     def _join_evaluate(self) -> None:
         self._join_eval_scheduled = False
-        if self.role != ROLE_UNDECIDED or not self.alive:
+        if self.role != ROLE_UNDECIDED:
             return
         best = self._best_head_entry()
         if best is not None:
             self._join(best)
 
     def _join(self, entry: Hello) -> None:
-        if self.role == ROLE_HEAD:
-            self._stop_heading()
         self.role = ROLE_MEMBER
         self.head_id = entry.sender_id
         self.secondary = entry.secondary_id
@@ -297,7 +309,7 @@ class Node:
     # -- election ----------------------------------------------------------
 
     def on_undecided_timeout(self) -> None:
-        if not self.alive or self.role != ROLE_UNDECIDED:
+        if self.role != ROLE_UNDECIDED:
             return
         head = self._best_head_entry()
         if head is not None:
@@ -339,7 +351,7 @@ class Node:
             self.secondary = msg.secondary_id
 
     def _reelect_secondary(self) -> None:
-        if self.mode != "ecbrp" or self.role != ROLE_HEAD:
+        if self.mode != "ecbrp":
             return
         candidates = [e for e in self.fresh_neighbors() if e.sender_id in self.member_ids]
         if not candidates:
@@ -364,8 +376,7 @@ class Node:
             del self.neighbors[nid]
             del self.heard[nid]
             self.member_ids.discard(nid)
-        if (self.role == ROLE_MEMBER and self.head_id is not None
-                and self.head_id not in self.neighbors):
+        if self.role == ROLE_MEMBER and self.head_id not in self.neighbors:
             self.on_head_failure(self.head_id)
         elif self.role == ROLE_HEAD:
             self._reelect_secondary()
@@ -383,14 +394,10 @@ class Node:
         self.revert_undecided()
 
     def revert_undecided(self) -> None:
-        was_decided = self.role in (ROLE_HEAD, ROLE_MEMBER)
-        if self.role == ROLE_HEAD:
-            self._stop_heading()
         self.role = ROLE_UNDECIDED
         self.head_id = None
         self.secondary = None
-        if was_decided:
-            self.sim.metrics.cluster_reformations += 1
+        self.sim.metrics.cluster_reformations += 1
         self._restart_undecided_timer()
 
     # -- death -------------------------------------------------------------

@@ -85,9 +85,8 @@ def _send_rreq(sim: Simulator, node, pending: _Pending) -> None:
         pending.retry += 1
         if pending.retry > sim.config.max_retries:
             del state.pending[pending.dest_id]
-            for pid in state.queued.get(pending.dest_id, []):
+            for pid in state.queued.pop(pending.dest_id, ()):
                 sim.account_dropped(pid, "no-route")
-            state.queued[pending.dest_id] = []
         elif node.alive:
             _send_rreq(sim, node, pending)
         else:
@@ -117,17 +116,16 @@ def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
     if rreq.request_id in state.seen_rreq:
         return
     state.seen_rreq.add(rreq.request_id)
-    if node.node_id == rreq.dest_id:
-        full = rreq.recorded_path + [node.node_id]
-        if sim.trace is not None:
-            sim.record("path", tuple(full))
-        _start_rrep(sim, node, rreq.request_id, full)
-        return
     if node.node_id in rreq.recorded_path:
         return  # loop: a copy already passed through here
     path = rreq.recorded_path + [node.node_id]
     if sim.trace is not None:
         sim.record("path", tuple(path))
+    # The destination relays no request for itself, so the loop test above
+    # never drops its copy.
+    if node.node_id == rreq.dest_id:
+        _start_rrep(sim, node, rreq.request_id, path)
+        return
     if sim.config.route_cache:
         suffix = state.cached_suffix.get(rreq.dest_id)
         if suffix is not None and not set(suffix[1:]) & set(path):
@@ -139,16 +137,12 @@ def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
 
 
 def _start_rrep(sim: Simulator, node, request_id, full_path: List[int]) -> None:
-    if len(full_path) < 2:
-        return
     cursor = len(full_path) - 2
     sim.unicast(node.node_id, full_path[cursor], RouteReply(request_id, full_path, cursor))
 
 
 def handle_rrep(sim: Simulator, node, rrep: RouteReply) -> None:
-    i = rrep.cursor
-    if i < 0 or i >= len(rrep.full_path) or rrep.full_path[i] != node.node_id:
-        return
+    i = rrep.cursor   # the reply was unicast to full_path[i], this node
     if i == 0:
         _establish_route(sim, node, rrep)
         return
@@ -160,16 +154,15 @@ def handle_rrep(sim: Simulator, node, rrep: RouteReply) -> None:
 
 def _establish_route(sim: Simulator, node, rrep: RouteReply) -> None:
     state = node.routing
-    source, seq, _retry = rrep.request_id
+    _source, seq, _retry = rrep.request_id
     dest = rrep.full_path[-1]
     pending = state.pending.get(dest)
-    if source != node.node_id or pending is None or pending.seq != seq:
+    if pending is None or pending.seq != seq:
         return  # unknown or already-satisfied request: first reply wins
     del state.pending[dest]   # its timeout finds another pending entry, or none, and returns
     state.routes[dest] = list(rrep.full_path)
-    for pid in state.queued.get(dest, []):
+    for pid in state.queued.pop(dest, ()):
         forward_data(sim, node, DataPacket(pid, node.node_id, dest, list(rrep.full_path)))
-    state.queued[dest] = []
 
 
 # -- data transmission ------------------------------------------------------
@@ -185,11 +178,6 @@ def forward_data(sim: Simulator, node, packet: DataPacket) -> None:
     if not node.alive:
         sim.account_dropped(packet.packet_id, "dead-forwarder")
         return
-    i = packet.cursor
-    route = packet.route
-    if i >= len(route) or route[i] != node.node_id or i + 1 >= len(route):
-        sim.account_dropped(packet.packet_id, "route-error")
-        return
     _send_hop(sim, node, packet)
 
 
@@ -197,14 +185,12 @@ def _send_hop(sim: Simulator, node, packet: DataPacket,
               tried: Optional[Set[int]] = None) -> None:
     """Unicast the packet to the next hop on its route; a failed hop goes to
     recovery with the hops already tried."""
-    i = packet.cursor
-    next_hop = packet.route[i + 1]
-    packet.cursor = i + 1
+    next_hop = packet.route[packet.cursor + 1]
     if sim.unicast(node.node_id, next_hop, packet):
+        packet.cursor += 1
         if sim.trace is not None:
             sim.record("hop", packet.packet_id, node.node_id, next_hop)
     else:
-        packet.cursor = i
         recover_route(sim, node, packet, next_hop, tried)
 
 
