@@ -86,37 +86,19 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
     With nothing scheduled between them, the startup HELLOs share one
     delivery batch.
 
-    The round replaces one timer per node, armed in the node's own startup
-    event right after its first HELLO and re-armed after each send. Events
-    fire in (time, seq) order, seq being the order of scheduling, and the
-    round takes the place of the whole block of old timers due at one
-    instant. Between two of those timers ran only what the timers
-    scheduled: a HELLO's delivery, due at now + propagation_delay_s, and
-    the next timer (a zero-delay delivery takes a later seq than every
-    timer of the block, so it waits for the whole block). Every other event
-    due at a round instant was scheduled before the block or after it, and
-    so fires before or after the round alike:
-      - build_simulation and its caller schedule before the startup event
-        runs, so the mobility tick (due with every round at the defaults)
-        and a force_kill at t = hello_interval_s still come first. A round
-        armed in build_simulation would come before such a kill.
-      - every later event is scheduled before or after the instant at which
-        the block re-armed itself, and the round re-arms at that instant.
-    The trace therefore changes only where an event due at a round instant
-    was scheduled in the middle of a block, or where a startup delivery is
-    due with a startup timer. Three exact ties do that:
-      - propagation_delay_s == hello_interval_s: each node's delivery was
-        due between two nodes' timers (d0, h0, d1, h1, ...). The round
-        fires before the startup HELLOs' deliveries and after those of
-        every later round.
-      - undecided_timer_intervals == 1: the undecided timers armed at
-        startup alternated with the timers at t = hello_interval_s (h0, u0,
-        h1, u1, ...); the round sends every HELLO before the first
-        undecided timeout.
-      - propagation_delay_s == undecided_timer_s(): each node armed its
-        undecided timer right after its first HELLO, so the startup
-        deliveries and timers alternated (d0, u0, d1, u1, ...); every
-        startup HELLO is now delivered before the first undecided timeout.
+    Events fire in (time, seq) order, seq being the order of scheduling.
+    The round is armed here and not in build_simulation, so that what
+    build_simulation and its caller schedule for a round instant fires
+    before the round: the mobility tick (due with every round at the
+    defaults) and a force_kill at t = hello_interval_s, say. At three exact
+    ties the order is:
+      - propagation_delay_s == hello_interval_s: the first round fires
+        before the startup HELLOs are delivered, and every later round
+        after the HELLOs of the round before it.
+      - undecided_timer_intervals == 1: the round at t = hello_interval_s
+        sends every HELLO before the first undecided timeout.
+      - propagation_delay_s == undecided_timer_s(): every startup HELLO is
+        delivered before the first undecided timeout.
     """
     interval = sim.config.hello_interval_s
 
