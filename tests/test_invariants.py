@@ -9,10 +9,14 @@ by hop, and a data packet is only handled by the node at its cursor."""
 
 from collections import Counter
 
-from cbrsim import ROLE_HEAD, ROLE_MEMBER, ScenarioConfig, routing
+from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig, routing
 from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import run_failover_trace, stress_config
+
+
+def _undecided_has_no_head(node):
+    return None if node.role != ROLE_UNDECIDED else node.head_id is None
 
 
 def _forward_data(sim, node, packet):
@@ -35,6 +39,9 @@ INVARIANTS = (
     (Node, "_head_contention",
      lambda node, hello, sender_id: None if node.mode != "ecbrp"
      else node.last_advertised_weight is not None),
+    (Node, "become_head", lambda node, *args: not node.member_ids),
+    (Node, "on_undecided_timeout", _undecided_has_no_head),
+    (Node, "_join_evaluate", _undecided_has_no_head),
 )
 
 
