@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .config import ConfigError, ScenarioConfig, _parse_value, load_config_file
+from .config import PROTOCOL_MODES, ConfigError, ScenarioConfig, apply_setting, load_config_file
 from .experiment import run_scenario_sim, sweep, sweep_to_csv, write_sweep_csv
 from .metrics import pdr
 from .snapshot import write_snapshot
@@ -34,10 +34,7 @@ def _load_base_config(args) -> ScenarioConfig:
     if path:
         config = load_config_file(path, config)
     for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        setattr(config, key.strip(), _parse_value(key.strip(), raw))
+        apply_setting(config, item, "--set")
     if args.seed is not None:
         config.seed = args.seed
     return config
@@ -85,10 +82,10 @@ def _cmd_sweep(args) -> int:
             replace(config, node_count=n).validate()
         except ConfigError as exc:
             raise ConfigError(f"--nodes: {exc}")
-    modes = ["cbrp", "ecbrp"] if args.modes is None else args.modes.split(",")
+    modes = list(PROTOCOL_MODES) if args.modes is None else args.modes.split(",")
     for mode in modes:
-        if mode not in ("cbrp", "ecbrp"):
-            raise ConfigError(f"--modes: expected cbrp and/or ecbrp, got {mode!r}")
+        if mode not in PROTOCOL_MODES:
+            raise ConfigError(f"--modes: expected {' and/or '.join(PROTOCOL_MODES)}, got {mode!r}")
     for flag, values in (("--nodes", counts), ("--modes", modes)):
         if len(set(values)) != len(values):
             raise ConfigError(f"{flag}: each value may appear once, got {','.join(map(str, values))}")
@@ -106,14 +103,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_trace(args) -> int:
     ecbrp = run_failover_trace("ecbrp")
     cbrp = run_failover_trace("cbrp")
-    e_pass = (ecbrp.delivered_after_kill > 0 and ecbrp.reformations == 0
-              and ecbrp.metrics.total_dropped == 0)
-    c_pass = (cbrp.reformations >= 1 or cbrp.metrics.dropped["route-error"] >= 1)
+    e, c = ecbrp.metrics, cbrp.metrics
+    e_pass = (ecbrp.delivered_after_kill > 0 and e.cluster_reformations == 0
+              and e.total_dropped == 0)
+    c_pass = (c.cluster_reformations >= 1 or c.dropped["route-error"] >= 1)
     print(f"ecbrp failover: delivered_after_kill={ecbrp.delivered_after_kill} "
-          f"reformations={ecbrp.reformations} dropped={ecbrp.metrics.total_dropped} "
+          f"reformations={e.cluster_reformations} dropped={e.total_dropped} "
           f"-> {'PASS' if e_pass else 'FAIL'}")
-    print(f"cbrp  failover: reformations={cbrp.reformations} "
-          f"route_error_drops={cbrp.metrics.dropped['route-error']} "
+    print(f"cbrp  failover: reformations={c.cluster_reformations} "
+          f"route_error_drops={c.dropped['route-error']} "
           f"-> {'PASS' if c_pass else 'FAIL'}")
     if args.verbose:
         for t, packet_id, from_id, to_id in ecbrp.sim.records("hop"):
@@ -134,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario")
     common(p_run)
-    p_run.add_argument("--mode", choices=["cbrp", "ecbrp"])
+    p_run.add_argument("--mode", choices=PROTOCOL_MODES)
     p_run.add_argument("--nodes", type=int)
     p_run.add_argument("--snapshot", help="write an SVG topology snapshot here")
     p_run.add_argument("--range-circles", action="store_true")

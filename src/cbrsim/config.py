@@ -7,6 +7,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 
+PROTOCOL_MODES = ("cbrp", "ecbrp")
+
+
 class ConfigError(ValueError):
     """Raised with the offending key named in the message."""
 
@@ -17,7 +20,7 @@ class ScenarioConfig:
     node_count: int = 30
     duration_s: float = 300.0
     seed: int = 1
-    protocol_mode: str = "ecbrp"  # "cbrp" | "ecbrp"
+    protocol_mode: str = "ecbrp"  # one of PROTOCOL_MODES
 
     # Arena and radio
     area_width_m: float = 400.0
@@ -76,8 +79,9 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}: must be a finite number, got {value}")
-        if self.protocol_mode not in ("cbrp", "ecbrp"):
-            raise ConfigError(f"protocol_mode: must be 'cbrp' or 'ecbrp', got {self.protocol_mode!r}")
+        if self.protocol_mode not in PROTOCOL_MODES:
+            raise ConfigError(f"protocol_mode: must be {' or '.join(map(repr, PROTOCOL_MODES))}, "
+                              f"got {self.protocol_mode!r}")
         if self.effective_flows() > 0 and self.node_count < 2:
             raise ConfigError(f"node_count: routing requires at least 2 nodes, got {self.node_count}")
         if self.node_count < 1:
@@ -136,17 +140,21 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
+def apply_setting(config: ScenarioConfig, text: str, where: str) -> None:
+    """Parse one key=value and set it on config; errors name `where`."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, raw = text.split("=", 1)
+    key = key.strip()
+    setattr(config, key, _parse_value(key, raw))
+
+
 def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
     """Parse a flat key=value file, one key per line; '#' starts a comment."""
     config = replace(base) if base is not None else ScenarioConfig()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            setattr(config, key, _parse_value(key, raw))
+            if line:
+                apply_setting(config, line, f"line {lineno}")
     return config

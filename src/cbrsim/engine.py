@@ -33,7 +33,7 @@ import heapq
 import math
 import random
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import ScenarioConfig
 from .geometry import distance
@@ -236,13 +236,15 @@ class Simulator:
         if drained:
             self.mark_dead(sender.node_id)
 
-    def broadcast(self, sender_id: int, message) -> FrozenSet[int]:
+    def broadcast(self, sender_id: int, message) -> Tuple[int, ...]:
+        """Send to every alive node in range; returns those receivers, in
+        self.nodes order, or () if the sender is dead."""
         sender = self.nodes[sender_id]
         if not sender.alive:
-            return frozenset()
+            return ()
         receivers = self.alive_in_range(sender_id)
         self._transmit(sender, receivers, message)
-        return frozenset(receivers)
+        return receivers
 
     def unicast(self, sender_id: int, next_hop: int, message) -> bool:
         """True iff the hop is feasible (next hop alive and in range) at send time."""
@@ -268,9 +270,9 @@ class Simulator:
         handling order is the same. If the batch is firing, the delivery
         would have been the next event, and the batch's loop runs it (a list
         iterator sees an appended item).
-        A route request skips each receiver that has already seen its id:
-        that is handle_rreq's first test, made at delivery time before
-        dispatch, so the duplicate costs one set lookup."""
+        A route request skips each receiver that has already seen its id,
+        the one duplicate test of route discovery: handle_rreq only sees a
+        request new to its node, and a duplicate costs one set lookup."""
         fire_time = self.now + self.config.propagation_delay_s
         batch = self._batch
         if batch is not None and self._batch_time == fire_time:

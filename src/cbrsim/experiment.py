@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .config import ScenarioConfig
 from .engine import Simulator
-from .metrics import RunMetrics, pdr
+from .metrics import DROP_CAUSES, RunMetrics, pdr
 from .scenario import build_simulation
 
 # The per-run counters of a CSV row: a run row prints each as is, a mean
@@ -17,10 +17,8 @@ from .scenario import build_simulation
 _COUNTER_COLUMNS = (
     ("sent", lambda m: m.packets_sent),
     ("delivered", lambda m: m.packets_delivered),
-    ("drop_no_route", lambda m: m.dropped["no-route"]),
-    ("drop_route_error", lambda m: m.dropped["route-error"]),
-    ("drop_dead_forwarder", lambda m: m.dropped["dead-forwarder"]),
-    ("drop_dead_sender", lambda m: m.dropped["dead-sender"]),
+    *((f"drop_{cause.replace('-', '_')}", lambda m, cause=cause: m.dropped[cause])
+      for cause in DROP_CAUSES),
     ("reformations", lambda m: m.cluster_reformations),
     ("head_changes", lambda m: m.head_changes),
 )

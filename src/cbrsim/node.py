@@ -38,7 +38,7 @@ node.
 from __future__ import annotations
 
 from math import hypot
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import routing
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
@@ -64,6 +64,11 @@ def _rank(weight: Optional[float], node_id: int) -> Tuple[float, int]:
     weight ranks last (0.0 is a legal weight), so with no weights at all the
     order is id order."""
     return (float("inf") if weight is None else weight, node_id)
+
+
+def _entry_rank(entry: Hello) -> Tuple[float, int]:
+    """A neighbour's election order, by the HELLO last heard from it."""
+    return _rank(entry.sender_weight, entry.sender_id)
 
 
 class Node:
@@ -141,10 +146,11 @@ class Node:
 
     def weight_components(self, fresh: Optional[List[Hello]] = None) -> WeightComponents:
         """The weight's terms; `fresh` is this instant's fresh_neighbors(),
-        when the caller already has it. Each neighbour is measured once: the
-        degree counts and the distance sum adds the distances within range,
-        left to right from int 0, so the sum is the same on every Python (the
-        built-in sum() of floats is compensated from 3.12 on)."""
+        or current_degree_entries(), when the caller already has it. Each
+        neighbour is measured once: the degree counts and the distance sum
+        adds the distances within range, left to right from int 0, so the
+        sum is the same on every Python (the built-in sum() of floats is
+        compensated from 3.12 on)."""
         cfg = self.sim.config
         if fresh is None:
             fresh = self.fresh_neighbors()
@@ -278,29 +284,25 @@ class Node:
         if sender_id == self.head_id:
             if hello.sender_role == ROLE_HEAD:
                 self.secondary = hello.secondary_id
-            else:
-                # Our head stepped down (lost contention); re-home or reform.
-                self._rehome(exclude=sender_id)
+            elif not self._join_best_head(self.current_degree_entries()):
+                # Our head stepped down (lost contention) and no other head
+                # is in range: reform.
+                self.revert_undecided()
 
-    def _rehome(self, exclude: Optional[int] = None) -> None:
-        best = self._best_head_entry(exclude=exclude)
-        if best is not None:
-            self._join(best)
-        else:
-            self.revert_undecided()
-
-    def _best_head_entry(self, exclude: Optional[int] = None) -> Optional[Hello]:
-        candidates = [e for e in self.current_degree_entries()
-                      if e.sender_role == ROLE_HEAD and e.sender_id != exclude]
-        return min(candidates, key=lambda e: _rank(e.sender_weight, e.sender_id), default=None)
+    def _join_best_head(self, entries: List[Hello]) -> bool:
+        """Join the best head among entries, other than head_id: for a
+        member, the head that stepped down; an undecided node has none.
+        True if it joined one."""
+        heads = [e for e in entries if e.sender_role == ROLE_HEAD and e.sender_id != self.head_id]
+        if not heads:
+            return False
+        self._join(min(heads, key=_entry_rank))
+        return True
 
     def _join_evaluate(self) -> None:
         self._join_eval_scheduled = False
-        if self.role != ROLE_UNDECIDED:
-            return
-        best = self._best_head_entry()
-        if best is not None:
-            self._join(best)
+        if self.role == ROLE_UNDECIDED:
+            self._join_best_head(self.current_degree_entries())
 
     def _join(self, entry: Hello) -> None:
         self.role = ROLE_MEMBER
@@ -314,36 +316,36 @@ class Node:
     def on_undecided_timeout(self) -> None:
         if self.role != ROLE_UNDECIDED:
             return
-        head = self._best_head_entry()
-        if head is not None:
-            self._join(head)
-            return
         entries = self.current_degree_entries()
+        if self._join_best_head(entries):
+            return
         if not entries:
             # Isolated: stay undecided and repeat the procedure later.
             self._restart_undecided_timer()
             return
         competitors = [e for e in entries if e.sender_role == ROLE_UNDECIDED]
-        mine = _rank(self.election_weight(), self.node_id)
-        if any(_rank(e.sender_weight, e.sender_id) < mine for e in competitors):
+        # entries are fresh_neighbors() within range, the neighbours the
+        # weight counts, in the same order: the same float.
+        mine = _rank(self.election_weight(entries), self.node_id)
+        if any(_entry_rank(e) < mine for e in competitors):
             self._restart_undecided_timer()
         else:
-            beaten_weights = tuple(sorted(e.sender_weight for e in competitors
-                                          if e.sender_weight is not None))
-            self.become_head(beaten_weights)
+            self.become_head(competitors)
 
-    def become_head(self, contested_weights: Tuple[float, ...] = ()) -> None:
+    def become_head(self, competitors: Sequence[Hello] = ()) -> None:
+        """Take the head role; competitors are the HELLOs of the undecided
+        neighbours this node beat in the election."""
         self.role = ROLE_HEAD
         self.head_id = self.node_id
         self.secondary = None
-        self.member_ids = set()
         self._ch_since = self.sim.now
         self.sim.metrics.head_changes += 1
-        if self.sim.trace is not None:  # the weight is computed for the record only
+        if self.sim.trace is not None:  # the weights are computed for the record only
             weight = self.election_weight()
             self.sim.record("election", self.node_id,
                             float(self.node_id) if weight is None else weight,
-                            contested_weights)
+                            tuple(sorted(e.sender_weight for e in competitors
+                                         if e.sender_weight is not None)))
         self.send_hello()
 
     # -- secondary head (ECBRP) -------------------------------------------
@@ -360,7 +362,7 @@ class Node:
         if not candidates:
             self.secondary = None
             return
-        best = min(candidates, key=lambda e: _rank(e.sender_weight, e.sender_id))
+        best = min(candidates, key=_entry_rank)
         if best.sender_id != self.secondary:
             if self.sim.now - self._last_secondary_announce < self.sim.config.hello_interval_s:
                 return
@@ -380,12 +382,12 @@ class Node:
             del self.heard[nid]
             self.member_ids.discard(nid)
         if self.role == ROLE_MEMBER and self.head_id not in self.neighbors:
-            self.on_head_failure(self.head_id)
+            self.on_head_failure()
         elif self.role == ROLE_HEAD:
             self._reelect_secondary()
 
-    def on_head_failure(self, failed_head_id: int) -> None:
-        secondary = self.secondary_of(failed_head_id)
+    def on_head_failure(self) -> None:
+        secondary = self.secondary_of(self.head_id)
         if secondary == self.node_id:
             # Promotion in place: the cluster re-labels to the new head's id.
             self.become_head()

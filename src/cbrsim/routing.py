@@ -112,9 +112,8 @@ def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
 
 
 def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
+    # Simulator._deliver hands a node only a request it has not seen.
     state = node.routing
-    if rreq.request_id in state.seen_rreq:
-        return
     state.seen_rreq.add(rreq.request_id)
     if node.node_id in rreq.recorded_path:
         return  # loop: a copy already passed through here

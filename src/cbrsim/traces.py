@@ -44,10 +44,6 @@ class FailoverResult:
     sim: Simulator
     delivered_after_kill: int
 
-    @property
-    def reformations(self) -> int:
-        return self.metrics.cluster_reformations
-
 
 def run_failover_trace(mode: str, duration_s: float = 20.0) -> FailoverResult:
     config = failover_config(mode, duration_s)

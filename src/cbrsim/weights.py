@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class WeightFactors:
-    w1: float = 0.7
-    w2: float = 0.2
-    w3: float = 0.05
-    w4: float = 0.05
+    w1: float
+    w2: float
+    w3: float
+    w4: float
 
 
 @dataclass(slots=True)

@@ -1,6 +1,8 @@
 """Cluster formation: elections, joins, head contention, secondary heads,
 failover, and neighbor-table maintenance."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,7 @@ from cbrsim import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioCo
 from cbrsim.engine import Simulator
 from cbrsim.geometry import Position
 from cbrsim.messages import Hello, SecondaryAnnounce
-from cbrsim.node import Node, _rank
+from cbrsim.node import Node, _entry_rank, _rank
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import stress_config
 
@@ -369,6 +371,36 @@ def _failover_sim(mode, kill=(0,)):
     for node_id in kill:
         sim.force_kill(node_id, 6.0)
     return sim
+
+
+@pytest.mark.parametrize("config", [
+    *(ScenarioConfig(node_count=30, duration_s=60.0, seed=s, mobility_tick_s=0.7)
+      for s in (1, 2, 3)),
+    *(replace(stress_config("ecbrp", s), mobility_tick_s=0.7) for s in (1, 2, 3))])
+def test_secondary_announce_is_rate_limited(config, monkeypatch):
+    # Member HELLOs arrive with the HELLO round, so a head's best candidate
+    # changes at the first maintenance tick after a round. A 0.7 s tick does
+    # not divide the 1 s interval, so two such ticks can fall less than an
+    # interval apart, and then the second change waits.
+    announced, limited = {}, []
+    broadcast, reelect = Simulator.broadcast, Node._reelect_secondary
+
+    def spy_broadcast(sim, sender_id, message):
+        if type(message) is SecondaryAnnounce:
+            announced.setdefault(sender_id, []).append(sim.now)
+        return broadcast(sim, sender_id, message)
+
+    def spy_reelect(head):
+        reelect(head)
+        candidates = [e for e in head.fresh_neighbors() if e.sender_id in head.member_ids]
+        if candidates and min(candidates, key=_entry_rank).sender_id != head.secondary:
+            limited.append(head.node_id)
+    monkeypatch.setattr(Simulator, "broadcast", spy_broadcast)
+    monkeypatch.setattr(Node, "_reelect_secondary", spy_reelect)
+    build_simulation(config).run_until(config.duration_s)
+    assert limited
+    for times in announced.values():
+        assert all(b - a >= config.hello_interval_s for a, b in zip(times, times[1:]))
 
 
 def test_head_death_with_live_secondary_avoids_undecided():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cbrsim import ScenarioConfig, run_scenario
 from cbrsim.engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, Simulator
 from cbrsim.geometry import Position, distance
+from cbrsim.mobility import EnergyState
 from cbrsim.scenario import build_simulation
 
 from conftest import add_node, bare_sim, static_config
@@ -172,14 +173,14 @@ def test_broadcast_reaches_only_nodes_within_range():
     add_node(sim, 0, 0.0, 0.0)
     add_node(sim, 1, 50.0, 0.0)
     add_node(sim, 2, 100.0, 0.0)
-    assert sim.broadcast(0, _Probe()) == frozenset({1})
+    assert sim.broadcast(0, _Probe()) == (1,)
 
 
 def test_range_boundary_is_inclusive():
     sim = bare_sim()
     add_node(sim, 0, 0.0, 0.0)
     add_node(sim, 1, 80.0, 0.0)
-    assert sim.broadcast(0, _Probe()) == frozenset({1})
+    assert sim.broadcast(0, _Probe()) == (1,)
 
 
 def test_in_range_boundary_inclusive():
@@ -207,7 +208,7 @@ def test_lone_broadcast_still_costs_energy():
     sim = bare_sim()
     node = add_node(sim, 0, 0.0, 0.0)
     before = node.energy.remaining
-    assert sim.broadcast(0, _Probe()) == frozenset()
+    assert sim.broadcast(0, _Probe()) == ()
     assert node.energy.remaining == before - sim.config.transmit_cost
 
 
@@ -223,13 +224,27 @@ def test_head_pays_cost_factor_per_broadcast_member_pays_one():
     assert member.energy.consumed() == 1.0
 
 
+def test_dead_sender_transmits_nothing(monkeypatch):
+    sim = bare_sim()
+    sender = add_node(sim, 0, 0.0, 0.0)
+    add_node(sim, 1, 10.0, 0.0)
+    sim.force_kill(0, 0.0)
+    sim.run_until(0.0)
+    charged = []
+    monkeypatch.setattr(EnergyState, "charge", lambda energy, cost: charged.append(cost))
+    assert sim.broadcast(0, _Probe()) == ()
+    assert sim.unicast(0, 1, _Probe()) is False
+    assert charged == [] and sender.energy.remaining == 0.0
+    assert sim._queue == []   # no deliver event
+
+
 def test_final_transmission_delivers_then_kills_sender():
     sim = bare_sim()
     sender = add_node(sim, 0, 0.0, 0.0, energy=1.0)  # exactly one transmit-cost
     receiver = add_node(sim, 1, 10.0, 0.0)
     received = []
     receiver.handle_message = lambda msg, sid: received.append(sid)
-    assert sim.broadcast(0, _Probe()) == frozenset({1})
+    assert sim.broadcast(0, _Probe()) == (1,)
     assert sender.energy.remaining == 0.0
     assert sender.role == ROLE_DEAD
     sim.run_until(0.0)
@@ -302,7 +317,7 @@ def test_receiver_killed_earlier_in_the_same_batch_gets_nothing():
         log.append((1, msg, sid, sim.now))
         sim.mark_dead(2)
     sim.nodes[1].handle_message = kill_next
-    assert sim.broadcast(0, "probe") == frozenset({1, 2})
+    assert sim.broadcast(0, "probe") == (1, 2)
     sim.run_until(0.0)
     assert [rid for rid, *_ in log] == [1]
 

@@ -324,6 +324,38 @@ def test_cli_non_finite_number_exits_2(value, capsys):
     assert "duration_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--set", "node_count=0", "--set", "flows=0"], "node_count"),
+    (["--set", "duration_s=-1"], "duration_s"),
+    (["--set", "ideal_degree=-1"], "ideal_degree"),
+    (["--set", "p_v_mode=x"], "p_v_mode"),
+    (["--set", "flows=-1"], "flows"),
+    (["--set", "max_retries=-1"], "max_retries"),
+    (["--set", "route_cache=maybe"], "route_cache"),
+    (["--set", "duration_s=abc"], "duration_s"),
+    (["--config", "{conf}"], "line 2"),
+    (["--set", "route_cache"], "--set"),
+    (["--set", "route_cache=off"], None),
+])
+def test_cli_config_boundary(args, named, tmp_path, monkeypatch, capsys):
+    # Each bad value exits 2 and names its key or source; route_cache=off
+    # parses to False and runs.
+    conf = tmp_path / "bad.conf"
+    conf.write_text("node_count = 5\nroute_cache\n")
+    runs = []
+    run = cbrsim.cli.run_scenario_sim
+    monkeypatch.setattr(cbrsim.cli, "run_scenario_sim",
+                        lambda config: runs.append(config) or run(config))
+    argv = ["run", "--set", "node_count=5", "--set", "duration_s=1",
+            *(a.format(conf=conf) for a in args)]
+    if named is None:
+        assert main(argv) == 0
+        assert runs[0].route_cache is False
+    else:
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["stale_timeout_intervals", "undecided_timer_intervals"])
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_validation_rejects_non_positive_timer_intervals(key, value):

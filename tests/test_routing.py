@@ -44,13 +44,15 @@ def test_partitioned_destination_gives_up_with_no_route():
 
 
 def test_duplicate_request_suppressed():
+    # Two copies of one request reach node 1 in one delivery; the delivery
+    # skips the second, as node 1 has seen the request by then.
     sim = bare_sim()
-    node = add_node(sim, 1, 0.0, 0.0)
-    rreq = RouteRequest((9, 0, 0), 5, [9])
-    routing.handle_rreq(sim, node, rreq)
-    logged = len(recorded_paths(sim))
-    routing.handle_rreq(sim, node, RouteRequest((9, 0, 0), 5, [9]))
-    assert len(recorded_paths(sim)) == logged == 1
+    add_node(sim, 9, 0.0, 0.0)
+    add_node(sim, 1, 50.0, 0.0)
+    for _ in range(2):
+        sim.broadcast(9, RouteRequest((9, 0, 0), 5, [9]))
+    sim.run_until(0.0)
+    assert recorded_paths(sim) == [(9, 1)]
 
 
 def test_request_with_own_id_on_path_is_dropped():
