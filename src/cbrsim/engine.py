@@ -25,6 +25,10 @@ re-tested and every other row is kept. When more changed, or a node joined,
 the kept state is dropped and every alive node is re-tested from an empty
 grid; either way one loop bins the nodes and tests each pair once. A dead
 node is not binned; its query returns (), as its radio reaches no one.
+
+Every next hop given to unicast is a node of the run: routes, replies and
+repairs are built only from the ids of the run's nodes
+(tests/test_invariants.py checks it on every call).
 """
 
 from __future__ import annotations

@@ -21,7 +21,9 @@ So _join and revert_undecided never run on a head, revert_undecided always
 counts a reformation, _reelect_secondary runs on heads only, a member
 always has a head_id, and an ecbrp head has advertised its weight, since
 become_head sends a HELLO. An undecided node has no head_id: it starts with
-none and revert_undecided clears it. become_head is entered with member_ids
+none and revert_undecided clears it. A node holds a secondary only while it
+has a head_id (revert_undecided clears both), so a HELLO that names a
+secondary also names its cluster. become_head is entered with member_ids
 empty: only a head adds to it, and _stop_heading clears it whenever a node
 stops heading. tests/test_invariants.py checks these on every call over
 whole runs.

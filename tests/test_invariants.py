@@ -4,12 +4,15 @@ whole runs, meets the condition written next to it.
 
 A node leaves the undecided state only by joining a head or by winning the
 election; a head stops heading only by losing contention or by dying; only a
-member falls back to undecided. A route reply retraces its recorded path hop
-by hop, and a data packet is only handled by the node at its cursor."""
+member falls back to undecided. A HELLO that names a secondary also names
+its cluster. A route reply retraces its recorded path hop by hop, a data
+packet is only handled by the node at its cursor, and every unicast goes to
+a node of the run."""
 
 from collections import Counter
 
 from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig, routing
+from cbrsim.engine import Simulator
 from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import run_failover_trace, stress_config
@@ -42,6 +45,10 @@ INVARIANTS = (
     (Node, "become_head", lambda node, *args: not node.member_ids),
     (Node, "on_undecided_timeout", _undecided_has_no_head),
     (Node, "_join_evaluate", _undecided_has_no_head),
+    (Node, "on_hello",
+     lambda node, hello, sender_id: None if hello.secondary_id is None
+     else hello.cluster_id is not None),
+    (Simulator, "unicast", lambda sim, sender_id, next_hop, message: next_hop in sim.nodes),
 )
 
 
