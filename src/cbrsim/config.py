@@ -152,9 +152,13 @@ def apply_setting(config: ScenarioConfig, text: str, where: str) -> None:
 def load_config_file(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
     """Parse a flat key=value file, one key per line; '#' starts a comment."""
     config = replace(base) if base is not None else ScenarioConfig()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if line:
-                apply_setting(config, line, f"line {lineno}")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            apply_setting(config, line, f"line {lineno}")
     return config

@@ -75,7 +75,6 @@ class Simulator:
         self.nodes: Dict[int, "object"] = {}  # id -> Node, filled by the scenario builder
         self.metrics = RunMetrics()
         self._outstanding: Set[int] = set()
-        self._packet_counter = 0
         # Opt-in record stream: set to [] before running to collect
         # (time, kind, *fields) tuples; None records nothing.
         self.trace: Optional[List[tuple]] = None
@@ -255,9 +254,8 @@ class Simulator:
         sender = self.nodes[sender_id]
         if not sender.alive:
             return False
-        target = self.nodes.get(next_hop)
-        ok = (target is not None and target.alive
-              and distance(sender.pos, target.pos) <= self.config.tx_range_m)
+        target = self.nodes[next_hop]
+        ok = target.alive and distance(sender.pos, target.pos) <= self.config.tx_range_m
         self._transmit(sender, (next_hop,) if ok else (), message)
         return ok
 
@@ -288,20 +286,15 @@ class Simulator:
 
     def _deliver(self, batch: List[Tuple[int, Sequence[int], object]]) -> None:
         # Every receiver is a node of this run: alive_in_range found it, or
-        # unicast checked it. It may have died since the send.
+        # it was a unicast's next hop. It may have died since the send.
         nodes = self.nodes
         for sender_id, receivers, message in batch:   # sees what joins while it runs
-            if type(message) is RouteRequest:
-                request_id = message.request_id
-                for receiver_id in receivers:
-                    receiver = nodes[receiver_id]
-                    if receiver.role != ROLE_DEAD and request_id not in receiver.routing.seen_rreq:
-                        receiver.handle_message(message, sender_id)
-            else:
-                for receiver_id in receivers:
-                    receiver = nodes[receiver_id]
-                    if receiver.role != ROLE_DEAD:
-                        receiver.handle_message(message, sender_id)
+            request_id = message.request_id if type(message) is RouteRequest else None
+            for receiver_id in receivers:
+                receiver = nodes[receiver_id]
+                if receiver.role != ROLE_DEAD and (
+                        request_id is None or request_id not in receiver.routing.seen_rreq):
+                    receiver.handle_message(message, sender_id)
         if self._batch is batch:
             self._batch = None
 
@@ -324,15 +317,13 @@ class Simulator:
 
     # -- data-packet accounting (conservation enforced structurally) -------
 
-    def new_packet_id(self) -> int:
-        pid = self._packet_counter
-        self._packet_counter += 1
-        return pid
-
-    def register_packet(self, packet_id: int) -> None:
-        assert packet_id not in self._outstanding
-        self._outstanding.add(packet_id)
+    def new_packet(self) -> int:
+        """Count a new data packet as sent and outstanding; returns its id,
+        the number of packets sent before it."""
+        pid = self.metrics.packets_sent
         self.metrics.packets_sent += 1
+        self._outstanding.add(pid)
+        return pid
 
     def account_delivered(self, packet_id: int) -> None:
         self._outstanding.remove(packet_id)

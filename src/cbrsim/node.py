@@ -236,7 +236,7 @@ class Node:
         self.neighbors[sender_id] = hello
         self.heard[sender_id] = now
 
-        if hello.cluster_id is not None and hello.secondary_id is not None:
+        if hello.secondary_id is not None:
             self.known_secondaries[hello.cluster_id] = hello.secondary_id
 
         if self.role == ROLE_HEAD:

@@ -32,8 +32,7 @@ class RoutingState:
 # -- traffic entry point ----------------------------------------------------
 
 def generate_packet(sim: Simulator, source_id: int, dest_id: int) -> None:
-    pid = sim.new_packet_id()
-    sim.register_packet(pid)
+    pid = sim.new_packet()
     source = sim.nodes[source_id]
     if not source.alive:
         sim.account_dropped(pid, "dead-sender")
@@ -174,55 +173,60 @@ def handle_data(sim: Simulator, node, packet: DataPacket) -> None:
 
 
 def forward_data(sim: Simulator, node, packet: DataPacket) -> None:
+    """Unicast the packet to the next hop on its route, or to the hop that
+    recovery puts in its place, and advance the cursor past it."""
     if not node.alive:
         sim.account_dropped(packet.packet_id, "dead-forwarder")
         return
-    _send_hop(sim, node, packet)
-
-
-def _send_hop(sim: Simulator, node, packet: DataPacket,
-              tried: Optional[Set[int]] = None) -> None:
-    """Unicast the packet to the next hop on its route; a failed hop goes to
-    recovery with the hops already tried."""
     next_hop = packet.route[packet.cursor + 1]
-    if sim.unicast(node.node_id, next_hop, packet):
-        packet.cursor += 1
-        if sim.trace is not None:
-            sim.record("hop", packet.packet_id, node.node_id, next_hop)
-    else:
-        recover_route(sim, node, packet, next_hop, tried)
+    if not sim.unicast(node.node_id, next_hop, packet):
+        next_hop = recover_route(sim, node, packet, next_hop)
+        if next_hop is None:
+            return
+    packet.cursor += 1
+    if sim.trace is not None:
+        sim.record("hop", packet.packet_id, node.node_id, next_hop)
 
 
 def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
-                  tried: Optional[Set[int]] = None) -> None:
-    if not node.alive:
-        # The failed transmission drained the reporter itself.
-        sim.account_dropped(packet.packet_id, "dead-forwarder")
-        return
+                  tried: Optional[Set[int]] = None) -> Optional[int]:
+    """Repair the route in place after the hop to failed_next failed: put
+    the failed hop's secondary head in its place, or else a neighbour that
+    hears the hop after it, and unicast to that; repeat while the
+    replacement fails too. No hop in `tried` is tried again. Returns the
+    hop that took the packet, or None once the packet is dropped: as
+    dead-forwarder when a failed transmission drained this node, or as
+    route-error, with a notice to the source, when no candidate is left."""
     tried = set(tried) if tried else set()
-    tried.add(failed_next)
-    i = packet.cursor
-    route = packet.route
+    route, i = packet.route, packet.cursor
     after = route[i + 2] if i + 2 < len(route) else None
-
-    if failed_next != packet.dest_id:
-        substitute = node.secondary_of(failed_next)
-        if (substitute is not None and substitute not in route
-                and substitute not in tried
-                and any(e.sender_id == substitute for e in node.iter_fresh_neighbors())):
-            route[i + 1] = substitute
-            _send_hop(sim, node, packet, tried)
-            return
-
-    if after is not None:
-        patch = _salvage_candidate(node, route, after, tried)
-        if patch is not None:
-            route[i + 1] = patch
-            _send_hop(sim, node, packet, tried)
-            return
-
-    sim.account_dropped(packet.packet_id, "route-error")
-    _report_route_error(sim, packet)
+    while True:
+        if not node.alive:
+            # The failed transmission drained the reporter itself.
+            sim.account_dropped(packet.packet_id, "dead-forwarder")
+            return None
+        tried.add(failed_next)
+        hop = None
+        if failed_next != packet.dest_id:
+            substitute = node.secondary_of(failed_next)
+            if (substitute is not None and substitute not in route
+                    and substitute not in tried
+                    and any(e.sender_id == substitute for e in node.iter_fresh_neighbors())):
+                hop = substitute
+        if hop is None and after is not None:
+            hop = _salvage_candidate(node, route, after, tried)
+        if hop is None:
+            sim.account_dropped(packet.packet_id, "route-error")
+            # Control-plane shortcut: the notice reaches the source directly.
+            # The data packet itself was already dropped at the detector.
+            source_id, dest_id = packet.source_id, packet.dest_id
+            sim.schedule(sim.now, "route-error",
+                         lambda: handle_rerr(sim, sim.nodes[source_id], dest_id))
+            return None
+        route[i + 1] = hop
+        if sim.unicast(node.node_id, hop, packet):
+            return hop
+        failed_next = hop
 
 
 def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> Optional[int]:
@@ -234,17 +238,6 @@ def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> O
     return min(candidates) if candidates else None
 
 
-def _report_route_error(sim: Simulator, packet: DataPacket) -> None:
-    # Control-plane shortcut: the notice reaches the source directly. The
-    # data packet itself was already dropped at the detector.
-    source_id, dest_id = packet.source_id, packet.dest_id
-
-    def deliver():
-        source = sim.nodes.get(source_id)
-        if source is not None and source.alive:
-            handle_rerr(sim, source, dest_id)
-    sim.schedule(sim.now, "route-error", deliver)
-
-
 def handle_rerr(sim: Simulator, node, dest_id: int) -> None:
-    node.routing.routes.pop(dest_id, None)
+    if node.alive:   # a dead source keeps its routes
+        node.routing.routes.pop(dest_id, None)

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, Simulator
+from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 
 ROLE_COLORS = {
-    ROLE_HEAD: "#1f6fe0",     # blue
-    ROLE_MEMBER: "#000000",   # black
-    ROLE_DEAD: "#d62728",     # red
-    "undecided": "#909090",   # gray (extension)
+    ROLE_HEAD: "#1f6fe0",        # blue
+    ROLE_MEMBER: "#000000",      # black
+    ROLE_DEAD: "#d62728",        # red
+    ROLE_UNDECIDED: "#909090",   # gray (extension)
 }
 
 _MARGIN = 20.0
@@ -57,7 +57,7 @@ def render_snapshot(sim: Simulator, range_circles: bool = False,
                 f'stroke-dasharray="4 3"/>')
 
     for node in sim.nodes.values():
-        color = ROLE_COLORS.get(node.role, ROLE_COLORS["undecided"])
+        color = ROLE_COLORS[node.role]
         parts.append(
             f'<circle cx="{sx(node.pos.x):.1f}" cy="{sy(node.pos.y):.1f}" '
             f'r="{_NODE_RADIUS:g}" fill="{color}" data-node="{node.node_id}" '

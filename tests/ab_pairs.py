@@ -38,11 +38,12 @@ SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, args) -> dict:
-    """One benchmark run in the checkout; its parsed last line."""
+def run_once(checkout: Path, args, trace: int = 0) -> dict:
+    """One benchmark run in the checkout, traced if trace is 1; its parsed
+    last line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

@@ -532,9 +532,7 @@ def test_same_seed_gives_identical_metrics():
 
 def test_packet_accounting_balances():
     sim = bare_sim()
-    a, b, c = sim.new_packet_id(), sim.new_packet_id(), sim.new_packet_id()
-    for pid in (a, b, c):
-        sim.register_packet(pid)
+    a, b, c = sim.new_packet(), sim.new_packet(), sim.new_packet()
     sim.account_delivered(a)
     sim.account_dropped(b, "no-route")
     m = sim.metrics
@@ -542,19 +540,14 @@ def test_packet_accounting_balances():
     assert m.in_flight == 1 == sim.outstanding_packets
 
 
-def test_packet_ids_are_unique_and_reregistration_rejected():
+def test_packet_ids_are_unique():
     sim = bare_sim()
-    pid = sim.new_packet_id()
-    assert pid != sim.new_packet_id()
-    sim.register_packet(pid)
-    with pytest.raises(AssertionError):
-        sim.register_packet(pid)
+    assert [sim.new_packet() for _ in range(3)] == [0, 1, 2]
 
 
 def test_unknown_drop_cause_rejected():
     sim = bare_sim()
-    pid = sim.new_packet_id()
-    sim.register_packet(pid)
+    pid = sim.new_packet()
     with pytest.raises(KeyError):
         sim.account_dropped(pid, "gremlins")
 

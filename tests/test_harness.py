@@ -16,7 +16,7 @@ from cbrsim import (ConfigError, RunMetrics, ScenarioConfig, load_config_file,
 from cbrsim.cli import main
 from cbrsim.experiment import CSV_COLUMNS
 from cbrsim.geometry import Position
-from cbrsim.scenario import build_simulation
+from cbrsim.scenario import _draw_flows, build_simulation
 from cbrsim.snapshot import render_snapshot, write_snapshot
 
 from conftest import static_config, static_sim
@@ -55,6 +55,20 @@ def test_two_static_nodes_one_flow_deliver_everything():
     assert pdr(metrics) == 1.0
 
 
+def test_one_scripted_node_draws_no_flow():
+    # flows=1 asks for a flow, but a lone node has no one to send to: the
+    # draw must give up rather than look for a second node forever.
+    sim = build_simulation(static_config(flows=1), positions={0: Position(0, 0)})
+    assert _draw_flows(sim) == []
+
+
+def test_zero_packet_rate_schedules_no_traffic():
+    config = static_config(duration_s=30.0, packets_per_second=0.0)
+    sim = build_simulation(config, positions={0: Position(0, 0), 1: Position(40, 0)},
+                           flow_pairs=[(0, 1)])
+    assert sim.run_until(config.duration_s).packets_sent == 0
+
+
 def test_single_node_config_rejected():
     with pytest.raises(ConfigError, match="node_count"):
         ScenarioConfig(node_count=1).validate()
@@ -77,7 +91,7 @@ def test_sweep_shape_24_cells_120_runs():
 def test_single_replicate_mean_equals_run_pdr():
     result = sweep([10], ["ecbrp"], 1, tiny_config())
     cell = result.cells[(10, "ecbrp")]
-    assert cell.mean_pdr == cell.pdrs[0]
+    assert cell.mean_pdr == cell.pdrs[0] == result.mean_pdr(10, "ecbrp")
 
 
 def test_modes_share_seeds_per_cell():
@@ -282,6 +296,24 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 * 2   # header + (1 run + 1 mean) per cell
 
 
+def test_cli_sweep_writes_csv_to_stdout(capsys):
+    code = main(["sweep", "--nodes", "5", "--modes", "cbrp", "--replicates", "1",
+                 "--set", "duration_s=2"])
+    assert code == 0
+    expected = sweep([5], ["cbrp"], 1, ScenarioConfig(duration_s=2.0))
+    assert capsys.readouterr().out == sweep_to_csv(expected)
+
+
+def test_cli_run_mode_overrides_the_config(monkeypatch, capsys):
+    runs = []
+    run = cbrsim.cli.run_scenario_sim
+    monkeypatch.setattr(cbrsim.cli, "run_scenario_sim",
+                        lambda config: runs.append(config) or run(config))
+    assert main(["run", "--set", "protocol_mode=ecbrp", "--mode", "cbrp",
+                 "--nodes", "5", "--set", "duration_s=1"]) == 0
+    assert runs[0].protocol_mode == "cbrp"
+
+
 def test_cli_trace_passes(capsys):
     assert main(["trace"]) == 0
     out = capsys.readouterr().out
@@ -334,6 +366,8 @@ def test_cli_non_finite_number_exits_2(value, capsys):
     (["--set", "route_cache=maybe"], "route_cache"),
     (["--set", "duration_s=abc"], "duration_s"),
     (["--config", "{conf}"], "line 2"),
+    (["--config", "{tmp}/latin1.conf"], "latin1.conf: not UTF-8"),
+    (["--config", "{tmp}/missing.conf"], "missing.conf"),
     (["--set", "route_cache"], "--set"),
     (["--set", "route_cache=off"], None),
 ])
@@ -342,12 +376,13 @@ def test_cli_config_boundary(args, named, tmp_path, monkeypatch, capsys):
     # parses to False and runs.
     conf = tmp_path / "bad.conf"
     conf.write_text("node_count = 5\nroute_cache\n")
+    (tmp_path / "latin1.conf").write_bytes(b"# caf\xa0\nnode_count = 5\n")
     runs = []
     run = cbrsim.cli.run_scenario_sim
     monkeypatch.setattr(cbrsim.cli, "run_scenario_sim",
                         lambda config: runs.append(config) or run(config))
     argv = ["run", "--set", "node_count=5", "--set", "duration_s=1",
-            *(a.format(conf=conf) for a in args)]
+            *(a.format(conf=conf, tmp=tmp_path) for a in args)]
     if named is None:
         assert main(argv) == 0
         assert runs[0].route_cache is False

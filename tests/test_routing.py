@@ -145,6 +145,13 @@ def test_a_timeout_after_the_reply_leaves_a_newer_discovery_alone():
     assert sim.metrics.total_dropped == 0
 
 
+def test_a_dead_source_keeps_its_routes_on_a_route_error():
+    sim, state = _answered_discovery()
+    sim.nodes[0].role = "dead"
+    routing.handle_rerr(sim, sim.nodes[0], 9)
+    assert state.routes == {9: [0, 4, 7, 9]}
+
+
 def test_reply_after_give_up_is_ignored():
     sim = static_sim({0: (0, 0), 1: (40, 0), 2: (300, 300)}, mode="cbrp",
                      flow_pairs=[(0, 2)], flows=None, duration_s=30.0)
