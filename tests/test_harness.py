@@ -366,10 +366,10 @@ def test_cli_non_finite_number_exits_2(value, capsys):
     (["--set", "route_cache=maybe"], "route_cache"),
     (["--set", "duration_s=abc"], "duration_s"),
     (["--config", "{conf}"], "line 2"),
-    (["--config", "{tmp}/latin1.conf"], "latin1.conf: not UTF-8"),
-    (["--config", "{tmp}/missing.conf"], "missing.conf"),
     (["--set", "route_cache"], "--set"),
     (["--set", "route_cache=off"], None),
+    (["--config", "{tmp}/latin1.conf"], "latin1.conf: not UTF-8"),
+    (["--config", "{tmp}/missing.conf"], "missing.conf"),
 ])
 def test_cli_config_boundary(args, named, tmp_path, monkeypatch, capsys):
     # Each bad value exits 2 and names its key or source; route_cache=off
