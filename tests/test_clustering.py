@@ -545,3 +545,52 @@ def test_hello_advertises_the_senders_cluster_and_secondary(monkeypatch, mode, s
     # Only ecbrp designates secondaries, and its heads and members advertise them.
     advertised = {role for role, secondary in sent if secondary is not None}
     assert advertised == ({ROLE_HEAD, ROLE_MEMBER} if mode == "ecbrp" else set())
+
+
+def _beacon_dense_config(mode):
+    """A small beacon-dense run: n = 80 in 400 m, no traffic, 3 s."""
+    return ScenarioConfig(
+        node_count=80, duration_s=3.0, seed=1, protocol_mode=mode,
+        area_width_m=400.0, area_height_m=400.0, tx_range_m=80.0,
+        node_speed_mps=20.0, pause_time_s=100.0, mobility_tick_s=1.0,
+        hello_interval_s=1.0, initial_energy=600.0, transmit_cost=1.0, flows=0)
+
+
+def _flood_traffic_config(mode):
+    """n = 60 in continuous motion with 20 flows, run long enough that some
+    HELLOs are built while the table still holds a stale entry."""
+    return ScenarioConfig(
+        node_count=60, duration_s=12.0, seed=3, protocol_mode=mode,
+        area_width_m=400.0, area_height_m=400.0, tx_range_m=80.0,
+        node_speed_mps=20.0, pause_time_s=0.0, mobility_tick_s=1.0,
+        hello_interval_s=1.0, initial_energy=1e9, transmit_cost=1.0,
+        flows=20, packets_per_second=10.0, traffic_start_s=2.0,
+        max_retries=2, rreq_timeout_s=2.0, route_cache=False)
+
+
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+@pytest.mark.parametrize("make_config", [_beacon_dense_config, _flood_traffic_config],
+                         ids=["beacon-dense", "flood-traffic"])
+def test_hello_advertises_exactly_its_fresh_neighbour_ids(monkeypatch, make_config, mode):
+    # The ids a HELLO carries are those of the sender's fresh neighbours at
+    # the instant it is built, each once; a stale entry is left out.
+    stats = {"calls": 0, "ids": 0, "with_stale": 0}
+    original = Node.build_hello
+
+    def checked(self):
+        hello = original(self)
+        ids = [h.sender_id for h in self.fresh_neighbors()]
+        snapshot = hello.neighbor_snapshot
+        assert sorted(snapshot) == sorted(ids) and len(snapshot) == len(set(ids))
+        stats["calls"] += 1
+        stats["ids"] += len(ids)
+        stats["with_stale"] += len(self.neighbors) > len(ids)
+        return hello
+
+    monkeypatch.setattr(Node, "build_hello", checked)
+    config = make_config(mode)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    assert stats["calls"] > config.node_count and stats["ids"] > 5 * stats["calls"]
+    if make_config is _flood_traffic_config:
+        assert stats["with_stale"] > 0 and sim.metrics.packets_sent > 0
