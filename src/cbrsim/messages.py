@@ -7,7 +7,7 @@ build; equality without frozen makes them unhashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .geometry import Position
 
@@ -22,7 +22,11 @@ class Hello:
     sender_weight: Optional[float]           # ECBRP only
     cluster_id: Optional[int]                # head id of sender's cluster
     secondary_id: Optional[int]              # sender's view of its cluster's secondary
-    neighbor_snapshot: FrozenSet[int] = frozenset()  # ids of the sender's fresh neighbours
+    # Ids of the sender's fresh neighbours, in its table order. A tuple, not a
+    # set: every receiver keeps the HELLO for up to the stale timeout, a set's
+    # hash table takes several times a tuple's bytes, and the one lookup is a
+    # membership test on a route repair.
+    neighbor_snapshot: Tuple[int, ...] = ()
 
 
 @dataclass(slots=True)

@@ -200,7 +200,7 @@ class Node:
         fresh = self.fresh_neighbors()
         weight = self.election_weight(fresh)
         self.last_advertised_weight = weight
-        one_hop = frozenset([h.sender_id for h in fresh])
+        one_hop = tuple([h.sender_id for h in fresh])
         return Hello(self.node_id, self.role, self.pos, weight,
                      self.head_id, self.secondary, one_hop)
 

@@ -1,6 +1,7 @@
 """Cluster formation: elections, joins, head contention, secondary heads,
 failover, and neighbor-table maintenance."""
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -573,15 +574,15 @@ def _flood_traffic_config(mode):
                          ids=["beacon-dense", "flood-traffic"])
 def test_hello_advertises_exactly_its_fresh_neighbour_ids(monkeypatch, make_config, mode):
     # The ids a HELLO carries are those of the sender's fresh neighbours at
-    # the instant it is built, each once; a stale entry is left out.
+    # the instant it is built, each once, in table order; a stale entry is
+    # left out.
     stats = {"calls": 0, "ids": 0, "with_stale": 0}
     original = Node.build_hello
 
     def checked(self):
         hello = original(self)
-        ids = [h.sender_id for h in self.fresh_neighbors()]
-        snapshot = hello.neighbor_snapshot
-        assert sorted(snapshot) == sorted(ids) and len(snapshot) == len(set(ids))
+        ids = tuple(h.sender_id for h in self.fresh_neighbors())
+        assert hello.neighbor_snapshot == ids
         stats["calls"] += 1
         stats["ids"] += len(ids)
         stats["with_stale"] += len(self.neighbors) > len(ids)
@@ -594,3 +595,18 @@ def test_hello_advertises_exactly_its_fresh_neighbour_ids(monkeypatch, make_conf
     assert stats["calls"] > config.node_count and stats["ids"] > 5 * stats["calls"]
     if make_config is _flood_traffic_config:
         assert stats["with_stale"] > 0 and sim.metrics.packets_sent > 0
+
+
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+def test_kept_hellos_hold_their_neighbour_ids_in_a_tuple(mode):
+    # The HELLOs receivers keep are most of a dense run's memory. A tuple
+    # costs its header and one pointer per id; a hashed set costs several
+    # times that, so this fails if one comes back.
+    config = _beacon_dense_config(mode)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    kept = [h.neighbor_snapshot for n in sim.nodes.values() for h in n.neighbors.values()]
+    assert len(kept) > 5 * config.node_count and sum(map(len, kept)) > 5 * len(kept)
+    for snapshot in kept:
+        assert type(snapshot) is tuple
+        assert sys.getsizeof(snapshot) <= sys.getsizeof(()) + 8 * len(snapshot)

@@ -274,9 +274,9 @@ def test_salvage_uses_neighbour_ids_advertised_in_hello():
     relay = add_node(sim, 5, 100.0, 30.0)
     relay.on_hello(dest.build_hello(), 3)
     hello = relay.build_hello()
-    assert hello.neighbor_snapshot == frozenset({3})
+    assert hello.neighbor_snapshot == (3,)
     gateway.on_hello(hello, 5)
-    assert gateway.neighbors[5].neighbor_snapshot == frozenset({3})
+    assert gateway.neighbors[5].neighbor_snapshot == (3,)
     dead_head.role = "dead"
     source.routing.routes[3] = [0, 1, 2, 3]
     routing.generate_packet(sim, 0, 3)
