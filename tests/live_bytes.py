@@ -23,9 +23,11 @@ source tree with its own perfbench/.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import List
 
@@ -37,9 +39,6 @@ TOP_SITES = 5
 def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
     """Run one pass of each named workload in the checkout at root under
     tracemalloc; runs in the subprocess, with root as its working directory."""
-    import gc
-    import tracemalloc
-
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import cbrsim
     import workloads
@@ -77,12 +76,13 @@ def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
         state = {"runs": [], "peak": 0, "largest": -1, "sites": []}
         gc.collect()
         tracemalloc.start()
-        failed = sum(bool(run.problems) for step in workloads.steps(
-            workloads.WORKLOADS[name], seed, tiny) for run in step().runs)
+        records = [run for step in workloads.steps(workloads.WORKLOADS[name], seed, tiny)
+                   for run in step().runs]
         state["peak"] = max(state["peak"], tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         results[name] = {"runs": state["runs"], "peak": state["peak"],
-                         "sites": state["sites"], "failed": failed}
+                         "sites": state["sites"], "attempted": len(records),
+                         "failed": sum(bool(run.problems) for run in records)}
     return results
 
 
@@ -107,7 +107,7 @@ def report(name: str, result: dict) -> List[str]:
         lines += [f"      {where}: {size / MB:.3f} MB in {count} blocks"
                   for where, size, count in result["sites"]]
     if result["failed"]:
-        lines.append(f"    FAILED: {result['failed']} of {len(result['runs'])} runs")
+        lines.append(f"    FAILED: {result['failed']} of {result['attempted']} runs")
     return lines
 
 

@@ -29,3 +29,47 @@ def test_a_tiny_pass_reports_each_run_its_peak_and_sites_inside_the_checkout(cap
         assert len(sites) == 5
         assert all(str(ROOT) not in site for site in sites)
         assert any(site.startswith("      src/cbrsim/") for site in sites)
+
+
+FAKE_WORKLOADS = """\
+from dataclasses import dataclass
+
+@dataclass
+class Record:
+    label: str
+    problems: list
+
+@dataclass
+class Pass:
+    runs: list
+
+WORKLOADS = {"fake": None}
+kept = []
+
+def inspect_run(config, sim):
+    return Record(config, ["broke an invariant"] if config == "bad" else [])
+
+def run(config):
+    kept.append(bytearray(1_000_000))
+    return Pass([inspect_run(config, None)])
+
+def steps(workload, seed, tiny):
+    return [lambda: run("good"), lambda: run("bad"),
+            lambda: Pass([Record("raised", ["raised ValueError"])])]
+"""
+
+
+def test_a_run_that_raised_or_broke_an_invariant_fails(tmp_path, capsys):
+    (tmp_path / "src" / "cbrsim").mkdir(parents=True)
+    (tmp_path / "src" / "cbrsim" / "__init__.py").write_text("")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(FAKE_WORKLOADS)
+    assert live_bytes.main([str(tmp_path), "--workload", "fake"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [f"{tmp_path} seed 1 size full:", "  fake:",
+                         "    good: 1.00 MB live at its end",
+                         "    bad: 2.00 MB live at its end"]
+    assert 2.0 <= float(lines[4].removeprefix("    pass peak: ").removesuffix(" MB")) < 2.1
+    assert lines[5] == "    top 5 sites at the end of bad:"
+    assert lines[6].startswith("      perfbench/workloads.py:19: 2.00")   # the bytearrays
+    assert lines[-1] == "    FAILED: 2 of 3 runs"
