@@ -85,3 +85,33 @@ def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
         run_failover_trace(mode)
     assert not broken, broken[:5]
     assert set(calls) == {name for _, name, _ in INVARIANTS}, calls
+
+
+def test_every_hello_is_handled_at_its_build_time_plus_the_delay(monkeypatch):
+    # id(hello) -> (hello, when it was built); holding the Hello keeps its id
+    # its own for the whole run.
+    built = {}
+    handled = 0
+    off = []
+    build_hello, on_hello = Node.build_hello, Node.on_hello
+
+    def spy_build(node):
+        hello = build_hello(node)
+        built[id(hello)] = (hello, node.sim.now)
+        return hello
+
+    def spy_on_hello(node, hello, sender_id):
+        nonlocal handled
+        handled += 1
+        _, built_at = built[id(hello)]
+        if node.sim.now != built_at + node.sim.config.propagation_delay_s:
+            off.append((node.node_id, sender_id, built_at, node.sim.now))
+        return on_hello(node, hello, sender_id)
+
+    monkeypatch.setattr(Node, "build_hello", spy_build)
+    monkeypatch.setattr(Node, "on_hello", spy_on_hello)
+    for config in _matrix():
+        build_simulation(config).run_until(config.duration_s)
+    for mode in ("cbrp", "ecbrp"):
+        run_failover_trace(mode)
+    assert handled and not off, off[:5]
