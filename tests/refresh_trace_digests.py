@@ -9,16 +9,18 @@ join, discovery path and data hop, with its time) plus its `RunMetrics`. A
 change can keep every node's end state and still reorder elections; these
 digests catch that. Run this only in a change that means to alter simulated
 behaviour: tests/test_trace_digests.py fails on any run whose digest differs
-from the table. The matrix is both modes x eight scenarios x seeds 1-3.
+from the table. The matrix is both modes x ten scenarios x seeds 1-3.
 cache-n60 is ample-n60 with route_cache on, so intermediate nodes answer
-requests from the replies they cached. Three scenarios sit at the exact ties
+requests from the replies they cached. Five scenarios sit at the exact ties
 where two kinds of event are due at the same instant, so a change of order
 at a tie moves their digests: delay-is-interval (propagation_delay_s ==
-hello_interval_s), timer-is-interval (undecided_timer_intervals == 1) and
-delay-is-timer (propagation_delay_s == undecided_timer_s()). Those with a
-positive propagation delay, delayed-n60 and two of the ties, deliver later
-than the send, and copies of one route request can arrive at different
-times.
+hello_interval_s), timer-is-interval (undecided_timer_intervals == 1),
+delay-is-timer (propagation_delay_s == undecided_timer_s()), and two where a
+flow's packet period equals a routing delay: rate-is-interval (1 packet/s,
+the hello_interval_s a deferred discovery waits) and rate-is-timeout (0.5
+packet/s, the rreq_timeout_s). Those with a positive propagation delay,
+delayed-n60 and two of the ties, deliver later than the send, and copies of
+one route request can arrive at different times.
 
 --check writes nothing: it recomputes the table, prints each case whose
 digest differs from the committed one and exits 1 if any does. It needs only
@@ -73,6 +75,8 @@ SCENARIOS = {
     "delay-is-interval": lambda mode, seed: _tie_n40(mode, seed, propagation_delay_s=1.0),
     "timer-is-interval": lambda mode, seed: _tie_n40(mode, seed, undecided_timer_intervals=1.0),
     "delay-is-timer": lambda mode, seed: _tie_n40(mode, seed, propagation_delay_s=2.0),
+    "rate-is-interval": lambda mode, seed: _tie_n40(mode, seed, packets_per_second=1.0),
+    "rate-is-timeout": lambda mode, seed: _tie_n40(mode, seed, packets_per_second=0.5),
     "delayed-n60": lambda mode, seed: dataclasses.replace(
         _ample_n60(mode, seed), propagation_delay_s=0.002),
 }

@@ -8,10 +8,14 @@ import sys
 import pytest
 
 import refresh_trace_digests
+from cbrsim import build_simulation
+from cbrsim.engine import Simulator
 from refresh_trace_digests import TABLE, cases, trace_digest
 
 EXPECTED = json.loads(TABLE.read_text())
 CASES = cases()
+# Scenario -> the routing timer whose delay equals its flows' packet period.
+RATE_TIES = {"rate-is-interval": "discovery-deferred", "rate-is-timeout": "rreq-timeout"}
 
 
 def test_table_covers_the_matrix():
@@ -21,6 +25,23 @@ def test_table_covers_the_matrix():
 @pytest.mark.parametrize("name", list(CASES))
 def test_run_matches_committed_trace_digest(name):
     assert trace_digest(CASES[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", [n for n in CASES if n.split("/")[1] in RATE_TIES])
+def test_a_rate_tie_fires_a_traffic_and_a_routing_timer_at_one_instant(name, monkeypatch):
+    config = CASES[name]
+    timer = RATE_TIES[name.split("/")[1]]
+    due = {"traffic": set(), timer: set()}
+    schedule = Simulator.schedule
+
+    def spy(sim, fire_time, kind, fn):
+        if kind in due and fire_time <= config.duration_s:
+            due[kind].add(fire_time)
+        return schedule(sim, fire_time, kind, fn)
+
+    monkeypatch.setattr(Simulator, "schedule", spy)
+    build_simulation(config).run_until(config.duration_s)
+    assert due["traffic"] & due[timer]
 
 
 def test_check_reports_differing_cases_and_writes_nothing(tmp_path, monkeypatch, capsys):
