@@ -26,7 +26,10 @@ class Hello:
     # set: every receiver keeps the HELLO for up to the stale timeout, a set's
     # hash table takes several times a tuple's bytes, and the one lookup is a
     # membership test on a route repair.
-    neighbor_snapshot: Tuple[int, ...] = ()
+    neighbor_snapshot: Tuple[int, ...]
+    # When every receiver gets it: all of them in the one delivery the
+    # broadcast schedules, at the send time plus propagation_delay_s.
+    heard_at: float
 
 
 @dataclass(slots=True)

@@ -92,10 +92,8 @@ class Node:
         # Own cluster's secondary: as head the one designated, as member the
         # one last heard of; None when undecided.
         self.secondary: Optional[int] = None
-        # The neighbour table: id -> the Hello last heard from it, and id ->
-        # when. Both gain and lose keys together, so they share one order.
+        # The neighbour table: id -> the Hello last heard from it.
         self.neighbors: Dict[int, Hello] = {}
-        self.heard: Dict[int, float] = {}
         self.known_secondaries: Dict[int, int] = {}       # head id -> its secondary
 
         self.ch_accum_s = 0.0
@@ -131,18 +129,17 @@ class Node:
         """The Hellos of neighbours heard within the stale timeout, in table
         order, one at a time, so that a caller may stop at the first it needs."""
         cutoff = self.sim.now - self.stale_timeout_s
-        heard = self.heard
-        for nid, h in self.neighbors.items():
-            if heard[nid] >= cutoff:
+        for h in self.neighbors.values():
+            if h.heard_at >= cutoff:
                 yield h
 
     def current_degree_entries(self) -> List[Hello]:
         """Fresh Hellos whose advertised position is within radio range."""
         cutoff = self.sim.now - self.stale_timeout_s
         rng = self.sim.config.tx_range_m
-        x, y, heard = self.pos.x, self.pos.y, self.heard
-        return [h for nid, h in self.neighbors.items()
-                if heard[nid] >= cutoff and hypot(x - h.sender_pos.x, y - h.sender_pos.y) <= rng]
+        x, y = self.pos.x, self.pos.y
+        return [h for h in self.neighbors.values()
+                if h.heard_at >= cutoff and hypot(x - h.sender_pos.x, y - h.sender_pos.y) <= rng]
 
     # -- weight ------------------------------------------------------------
 
@@ -201,8 +198,10 @@ class Node:
         weight = self.election_weight(fresh)
         self.last_advertised_weight = weight
         one_hop = tuple([h.sender_id for h in fresh])
-        return Hello(self.node_id, self.role, self.pos, weight,
-                     self.head_id, self.secondary, one_hop)
+        # The same float as the time of the delivery the broadcast schedules.
+        return Hello(self.node_id, self.role, self.pos, weight, self.head_id,
+                     self.secondary, one_hop,
+                     self.sim.now + self.sim.config.propagation_delay_s)
 
     def send_hello(self) -> None:
         self.sim.broadcast(self.node_id, self.build_hello())
@@ -232,9 +231,7 @@ class Node:
     # -- HELLO processing --------------------------------------------------
 
     def on_hello(self, hello: Hello, sender_id: int) -> None:
-        now = self.sim.now
         self.neighbors[sender_id] = hello
-        self.heard[sender_id] = now
 
         if hello.secondary_id is not None:
             self.known_secondaries[hello.cluster_id] = hello.secondary_id
@@ -246,7 +243,7 @@ class Node:
         elif self.role == ROLE_UNDECIDED:
             if hello.sender_role == ROLE_HEAD and not self._join_eval_scheduled:
                 self._join_eval_scheduled = True
-                self.sim.schedule(now, "join-evaluate", self._join_evaluate)
+                self.sim.schedule(self.sim.now, "join-evaluate", self._join_evaluate)
 
     def _head_on_hello(self, hello: Hello, sender_id: int) -> None:
         now = self.sim.now
@@ -378,10 +375,9 @@ class Node:
         if not self.alive:
             return
         cutoff = self.sim.now - self.stale_timeout_s
-        expired = [nid for nid, t in self.heard.items() if t < cutoff]
+        expired = [nid for nid, h in self.neighbors.items() if h.heard_at < cutoff]
         for nid in expired:
             del self.neighbors[nid]
-            del self.heard[nid]
             self.member_ids.discard(nid)
         if self.role == ROLE_MEMBER and self.head_id not in self.neighbors:
             self.on_head_failure()

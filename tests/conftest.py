@@ -54,9 +54,8 @@ def add_neighbor(node, sender_id, x, y, *, role=ROLE_MEMBER, cluster=None, weigh
     """Enter sender_id in node's neighbour table as if its HELLO, advertising
     position (x, y), had arrived `age` seconds ago; returns that Hello."""
     hello = Hello(sender_id, role, Position(x, y), weight, cluster, secondary,
-                  tuple(one_hop))
+                  tuple(one_hop), heard_at=node.sim.now - age)
     node.neighbors[sender_id] = hello
-    node.heard[sender_id] = node.sim.now - age
     return hello
 
 

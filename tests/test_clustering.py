@@ -18,8 +18,9 @@ from cbrsim.traces import stress_config
 from conftest import add_neighbor, add_node, bare_sim, static_config, static_sim
 
 
-def head_hello(sender_id, weight, x=10.0, y=0.0, secondary=None):
-    return Hello(sender_id, ROLE_HEAD, Position(x, y), weight, sender_id, secondary)
+def head_hello(sender_id, weight, x=10.0, y=0.0, secondary=None, heard_at=0.0):
+    return Hello(sender_id, ROLE_HEAD, Position(x, y), weight, sender_id, secondary, (),
+                 heard_at=heard_at)
 
 
 # -- startup ----------------------------------------------------------------
@@ -42,10 +43,10 @@ def test_dead_at_start_node_sends_no_hello():
 def test_hello_refreshes_existing_entry_without_role_change():
     sim = static_sim({0: (0, 0), 1: (40, 0)})
     sim.run_until(4.0)   # formation settled
-    first = sim.nodes[0].heard[1]
+    first = sim.nodes[0].neighbors[1].heard_at
     role = sim.nodes[0].role
     sim.run_until(5.0)
-    assert sim.nodes[0].heard[1] > first
+    assert sim.nodes[0].neighbors[1].heard_at > first
     assert sim.nodes[0].role == role
 
 
@@ -55,12 +56,12 @@ def test_table_entry_is_the_received_hello():
     first = head_hello(2, 1.0)
     node.on_hello(first, 2)
     assert node.neighbors[2] is first
-    assert node.heard[2] == 0.0
+    assert node.neighbors[2].heard_at == 0.0
     sim.run_until(1.5)
-    again = head_hello(2, 1.0)
+    again = head_hello(2, 1.0, heard_at=1.5)
     node.on_hello(again, 2)
     assert node.neighbors[2] is again
-    assert node.heard[2] == 1.5
+    assert node.neighbors[2].heard_at == 1.5
 
 
 def test_every_receiver_keeps_the_one_broadcast_hello():
@@ -325,7 +326,7 @@ def test_orphaned_member_of_demoted_head_reverts_undecided():
     node.role = ROLE_MEMBER
     node.head_id = 2
     # The former head reports itself as a member of someone out of our range.
-    node.on_hello(Hello(2, ROLE_MEMBER, Position(10, 0), 3.0, 5, None), 2)
+    node.on_hello(Hello(2, ROLE_MEMBER, Position(10, 0), 3.0, 5, None, (), heard_at=0.0), 2)
     assert node.role == ROLE_UNDECIDED
     assert sim.metrics.cluster_reformations == 1
 

@@ -5,9 +5,9 @@ whole runs, meets the condition written next to it.
 A node leaves the undecided state only by joining a head or by winning the
 election; a head stops heading only by losing contention or by dying; only a
 member falls back to undecided. A HELLO that names a secondary also names
-its cluster. A route reply retraces its recorded path hop by hop, a data
-packet is only handled by the node at its cursor, and every unicast goes to
-a node of the run."""
+its cluster, and every HELLO is handled at the time it carries. A route
+reply retraces its recorded path hop by hop, a data packet is only handled
+by the node at its cursor, and every unicast goes to a node of the run."""
 
 from collections import Counter
 
@@ -48,6 +48,7 @@ INVARIANTS = (
     (Node, "on_hello",
      lambda node, hello, sender_id: None if hello.secondary_id is None
      else hello.cluster_id is not None),
+    (Node, "on_hello", lambda node, hello, sender_id: hello.heard_at == node.sim.now),
     (Simulator, "unicast", lambda sim, sender_id, next_hop, message: next_hop in sim.nodes),
 )
 
@@ -65,53 +66,23 @@ def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
     calls = Counter()
     broken = []
 
-    def spy(owner, name, holds):
+    def spy(row, owner, name, holds):
         original = getattr(owner, name)
 
         def checked(*args):
             verdict = holds(*args)
             if verdict is not None:
-                calls[name] += 1
+                calls[row, name] += 1
                 if not verdict:
                     broken.append((name, args))
             return original(*args)
         monkeypatch.setattr(owner, name, checked)
 
-    for owner, name, holds in INVARIANTS:
-        spy(owner, name, holds)
+    for row, (owner, name, holds) in enumerate(INVARIANTS):
+        spy(row, owner, name, holds)
     for config in _matrix():
         build_simulation(config).run_until(config.duration_s)
     for mode in ("cbrp", "ecbrp"):
         run_failover_trace(mode)
     assert not broken, broken[:5]
-    assert set(calls) == {name for _, name, _ in INVARIANTS}, calls
-
-
-def test_every_hello_is_handled_at_its_build_time_plus_the_delay(monkeypatch):
-    # id(hello) -> (hello, when it was built); holding the Hello keeps its id
-    # its own for the whole run.
-    built = {}
-    handled = 0
-    off = []
-    build_hello, on_hello = Node.build_hello, Node.on_hello
-
-    def spy_build(node):
-        hello = build_hello(node)
-        built[id(hello)] = (hello, node.sim.now)
-        return hello
-
-    def spy_on_hello(node, hello, sender_id):
-        nonlocal handled
-        handled += 1
-        _, built_at = built[id(hello)]
-        if node.sim.now != built_at + node.sim.config.propagation_delay_s:
-            off.append((node.node_id, sender_id, built_at, node.sim.now))
-        return on_hello(node, hello, sender_id)
-
-    monkeypatch.setattr(Node, "build_hello", spy_build)
-    monkeypatch.setattr(Node, "on_hello", spy_on_hello)
-    for config in _matrix():
-        build_simulation(config).run_until(config.duration_s)
-    for mode in ("cbrp", "ecbrp"):
-        run_failover_trace(mode)
-    assert handled and not off, off[:5]
+    assert len(calls) == len(INVARIANTS), calls

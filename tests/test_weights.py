@@ -81,8 +81,8 @@ def test_two_neighbor_component_vector():
 def reference_degree_and_dist_sum(node):
     cutoff = node.sim.now - node.sim.config.stale_timeout_s()
     rng = node.sim.config.tx_range_m
-    entries = [h for nid, h in node.neighbors.items()
-               if node.heard[nid] >= cutoff and distance(node.pos, h.sender_pos) <= rng]
+    entries = [h for h in node.neighbors.values()
+               if h.heard_at >= cutoff and distance(node.pos, h.sender_pos) <= rng]
     dist_sum = 0   # added left to right: sum() of floats is compensated from Python 3.12
     for h in entries:
         dist_sum += distance(node.pos, h.sender_pos)
