@@ -3,6 +3,7 @@ accounting in the simulation core."""
 
 import heapq
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from cbrsim.engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, Simulator
 from cbrsim.geometry import Position, distance
 from cbrsim.mobility import EnergyState
 from cbrsim.scenario import build_simulation
+from cbrsim.traces import stress_config
 
 from conftest import add_node, bare_sim, static_config
 
@@ -466,6 +468,30 @@ def test_neighbour_tables_of_successive_epochs_equal_brute_force_scan(data):
             joined += 1
             sim.invalidate_neighbors()
         _assert_query_matches_brute_force(sim, data.draw(st.permutations(list(sim.nodes))))
+
+
+def test_every_query_of_whole_runs_equals_brute_force_scan(monkeypatch):
+    # Whole runs with static stretches (every alive node paused), partial
+    # motion, and deaths: every answer, against the scan at query time.
+    query = Simulator.alive_in_range
+    wrong = []
+    seen = Counter()
+
+    def checked(sim, node_id):
+        got = query(sim, node_id)
+        if got != _brute_force_in_range(sim, node_id):
+            wrong.append((sim.config.protocol_mode, sim.now, node_id))
+        alive = [node for node in sim.nodes.values() if node.alive]
+        moving = sum(node.mobility.pause_remaining == 0.0 for node in alive)
+        seen["static" if moving == 0 else "partial" if moving < len(alive) else "all"] += 1
+        seen["after a death"] += len(alive) < len(sim.nodes)
+        return got
+    monkeypatch.setattr(Simulator, "alive_in_range", checked)
+    for config in (ScenarioConfig(node_count=30, duration_s=120.0),
+                   stress_config("cbrp", 1), stress_config("ecbrp", 1)):
+        build_simulation(config).run_until(config.duration_s)
+    assert not wrong, wrong[:5]
+    assert min(seen[kind] for kind in ("static", "partial", "all", "after a death")) > 0, seen
 
 
 @pytest.mark.parametrize("change", ["death", "move"])
