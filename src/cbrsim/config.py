@@ -96,6 +96,20 @@ class ScenarioConfig:
                     "traffic_start_s", "head_transmit_cost_factor"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {getattr(self, key)}")
+        # A timer re-arms at now + period, which never passes now when the
+        # period is at most half the float spacing at now; then it fires at one
+        # instant forever. Every clock reading of a run is at most duration_s,
+        # where that spacing is widest. (At exactly half, duration_s + period
+        # can round up while an earlier reading with an even last bit stays.)
+        periods = {"hello_interval_s": self.hello_interval_s,
+                   "mobility_tick_s": self.mobility_tick_s,
+                   "undecided_timer_intervals": self.undecided_timer_s()}
+        if self.packets_per_second > 0:
+            periods["packets_per_second"] = 1.0 / self.packets_per_second
+        for key, period in periods.items():
+            if 2.0 * period <= math.ulp(self.duration_s):
+                raise ConfigError(f"{key}: a period of {period} s cannot advance the clock "
+                                  f"at duration_s = {self.duration_s}")
         if self.ideal_degree < 0:
             raise ConfigError(f"ideal_degree: must be >= 0, got {self.ideal_degree}")
         if self.p_v_mode not in ("ch_time", "energy_consumed"):

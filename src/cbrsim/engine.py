@@ -18,13 +18,10 @@ taken the very next seq, right behind the batch, so the handling order is
 the same (see _schedule_delivery).
 
 Between two invalidate_neighbors() calls the topology is fixed, and the
-first neighbour query brings every node's receivers up to date at once. The
-table of the previous epoch is kept, with the uniform grid it was built
-from: when at most a quarter of the nodes moved or died since, only those are
-re-tested and every other row is kept. When more changed, or a node joined,
-the kept state is dropped and every alive node is re-tested from an empty
-grid; either way one loop bins the nodes and tests each pair once. A dead
-node is not binned; its query returns (), as its radio reaches no one.
+first neighbour query builds every node's receivers at once, from a fresh
+uniform grid that tests each pair of alive nodes once. Nothing is kept from
+one topology to the next. A dead node is not binned; its query returns (),
+as its radio reaches no one.
 
 Every next hop given to unicast is a node of the run: routes, replies and
 repairs are built only from the ids of the run's nodes
@@ -81,16 +78,6 @@ class Simulator:
         # node id -> its alive_in_range result; filled for every node at
         # once by the first query after invalidate_neighbors().
         self._nbr_cache: Dict[int, Tuple[int, ...]] = {}
-        # What the last neighbour table was built from, indexed by insertion
-        # rank: the node ids, each alive node's binned (rank, x, y) entry
-        # (None if dead), the grid of entries, each rank's list of ranks in
-        # range, and the table itself. Dropped and rebuilt from empty when a
-        # node joined or more than a quarter of the nodes changed.
-        self._ids: List[int] = []
-        self._binned: List[Optional[tuple]] = []
-        self._grid: Dict[Tuple[int, int], List[tuple]] = {}
-        self._found: List[List[int]] = []
-        self._table: Dict[int, Tuple[int, ...]] = {}
         # Cells a hair wider than the radio range, so that any pair the range
         # test accepts is at most one cell apart on each axis. Exactly
         # tx_range_m would not do: at 64 m the rounded difference
@@ -133,8 +120,9 @@ class Simulator:
     # -- radio -------------------------------------------------------------
 
     def invalidate_neighbors(self) -> None:
-        """Forget the neighbour table; call after any node moves, dies or joins."""
-        self._nbr_cache = {}   # a fresh dict: the kept table must survive
+        """Forget the neighbour table; call after an alive node moves, or any
+        node dies or joins."""
+        self._nbr_cache = {}
 
     def alive_in_range(self, node_id: int) -> Tuple[int, ...]:
         """Alive nodes within radio range of node_id (excluding itself), in
@@ -146,66 +134,23 @@ class Simulator:
             return self._nbr_cache[node_id]
 
     def _neighbor_table(self) -> Dict[int, Tuple[int, ...]]:
-        """Every node's alive_in_range result, brought up to date from the
-        table of the previous topology epoch. A node has changed if it is
-        alive and not binned at its current coordinates (compared by value,
-        not Position identity), or binned and now dead. When at most a
-        quarter of the nodes changed, _update re-tests only them and every
-        other row stays the same tuple. When more changed, or a node joined,
-        the kept state is dropped and _update re-tests every alive node
-        against an empty grid. Keeping the table costs un-binning each
-        changed node from its old neighbours' lists; from about 40% of the
-        nodes on, that costs more than the pairs of unchanged nodes it
-        saves testing, and the quarter leaves a margin."""
-        ids, nodes = list(self.nodes), list(self.nodes.values())
-        changed = []
-        if ids == self._ids:
-            for rank, (node, entry) in enumerate(zip(nodes, self._binned)):
-                if node.alive:
-                    pos = node.pos
-                    if entry is None or entry[1] != pos.x or entry[2] != pos.y:
-                        changed.append(rank)
-                elif entry is not None:
-                    changed.append(rank)
-        if ids != self._ids or 4 * len(changed) > len(nodes):
-            self._ids, self._binned, self._grid = ids, [None] * len(ids), {}
-            self._found = [[] for _ in ids]
-            self._table = dict.fromkeys(ids, ())   # a dead node's row stays ()
-            changed = [rank for rank, node in enumerate(nodes) if node.alive]
-        if changed:
-            self._update(nodes, changed)
-        return self._table
-
-    def _update(self, nodes: list, changed: List[int]) -> None:
-        """Re-test the changed ranks against the kept uniform grid (ns-2's
-        GridKeeper idea). Each changed node is un-binned and dropped from
-        its old neighbours' lists. The alive ones are then taken cell by
-        cell: a cell's nodes are tested against what is already binned in
-        the 3x3 block of cells around it and against each other, in one
-        candidate list, and binned after it; so each pair is tested once.
-        The range test is geometry.distance's, hypot(dx, dy) <= tx_range_m,
-        which gives the same answer from either end. Only the rows this
-        touched are sorted into insertion order and rebuilt."""
+        """Every node's alive_in_range result, from a fresh uniform grid
+        (ns-2's GridKeeper idea). The alive nodes are binned by cell, and the
+        cells are taken one at a time: a cell's nodes are tested against what
+        is already binned in the 3x3 block of cells around it and against
+        each other, in one candidate list, and binned after it; so each pair
+        is tested once. The range test is geometry.distance's,
+        hypot(dx, dy) <= tx_range_m, which gives the same answer from either
+        end. Each row is then sorted into self.nodes order."""
         cell_m, tx_range, hypot = self._cell_m, self.config.tx_range_m, math.hypot
-        ids, binned, grid, found, table = (
-            self._ids, self._binned, self._grid, self._found, self._table)
-        touched = set(changed)
-        cells: Dict[Tuple[int, int], List[tuple]] = {}   # new cell -> entries
-        for a in changed:
-            entry = binned[a]
-            if entry is not None:
-                _, x, y = entry
-                grid[int(x // cell_m), int(y // cell_m)].remove(entry)
-                for b in found[a]:
-                    found[b].remove(a)
-                touched.update(found[a])
-                found[a] = []
-                binned[a] = None
-            node = nodes[a]
+        ids = list(self.nodes)
+        cells: Dict[Tuple[int, int], List[tuple]] = {}   # cell -> (rank, x, y)
+        for rank, node in enumerate(self.nodes.values()):
             if node.alive:
                 x, y = node.pos.x, node.pos.y
-                binned[a] = entry = (a, x, y)
-                cells.setdefault((int(x // cell_m), int(y // cell_m)), []).append(entry)
+                cells.setdefault((int(x // cell_m), int(y // cell_m)), []).append((rank, x, y))
+        found: List[List[int]] = [[] for _ in ids]   # rank -> ranks in range
+        grid: Dict[Tuple[int, int], List[tuple]] = {}
         for (cx, cy), entries in cells.items():
             near = []
             for kx in (cx - 1, cx, cx + 1):
@@ -217,13 +162,13 @@ class Simulator:
                     if hypot(x - bx, y - by) <= tx_range:
                         found[a].append(b)
                         found[b].append(a)
-                        touched.add(b)
                 near.append(entry)
-            grid.setdefault((cx, cy), []).extend(entries)
-        for r in touched:
-            ranks = found[r]
+            grid[cx, cy] = entries
+        table = {}
+        for node_id, ranks in zip(ids, found):
             ranks.sort()
-            table[ids[r]] = tuple([ids[b] for b in ranks])
+            table[node_id] = tuple([ids[b] for b in ranks])
+        return table
 
     def _transmit(self, sender, receivers: Sequence[int], message) -> None:
         """One transmission: charge the sender (a head pays the head cost

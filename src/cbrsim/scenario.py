@@ -49,11 +49,19 @@ def build_simulation(config: ScenarioConfig,
         def move():
             # Dead nodes keep moving: they stay in the world, and advancing them
             # keeps waypoint-stream consumption identical across protocol modes.
+            # The neighbour table holds alive nodes only, so it is kept unless
+            # an alive node changed position. A Position is never mutated: a
+            # node that moved holds a new one.
+            moved = False
             for node in sim.nodes.values():
+                pos = node.pos
                 node.pos, node.mobility = mobility_step(
-                    node.pos, node.mobility, dt, config.pause_time_s,
+                    pos, node.mobility, dt, config.pause_time_s,
                     config.area_width_m, config.area_height_m, sim.rng.waypoints)
-            sim.invalidate_neighbors()
+                if node.pos is not pos and node.alive:
+                    moved = True
+            if moved:
+                sim.invalidate_neighbors()
         _every(sim, dt, dt, "mobility-tick", move)
 
     def maintain():

@@ -494,31 +494,6 @@ def test_every_query_of_whole_runs_equals_brute_force_scan(monkeypatch):
     assert min(seen[kind] for kind in ("static", "partial", "all", "after a death")) > 0, seen
 
 
-@pytest.mark.parametrize("change", ["death", "move"])
-def test_rows_out_of_reach_of_one_change_are_kept(change):
-    # A 6 x 6 lattice 30 m apart: every node has neighbours, so no row is
-    # the shared empty tuple.
-    sim = bare_sim()
-    for nid in range(36):
-        add_node(sim, nid, 30.0 * (nid % 6), 30.0 * (nid // 6))
-    before = {nid: sim.alive_in_range(nid) for nid in sim.nodes}
-    victim = sim.nodes[0]
-    spots = [victim.pos]
-    if change == "death":
-        sim.mark_dead(0)
-    else:
-        victim.pos = Position(20.0, 10.0)
-        spots.append(victim.pos)
-        sim.invalidate_neighbors()
-    out_of_reach = [nid for nid, node in sim.nodes.items()
-                    if all(distance(node.pos, spot) > sim.config.tx_range_m
-                           for spot in spots)]
-    assert len(out_of_reach) > 20
-    _assert_query_matches_brute_force(sim)
-    for nid in out_of_reach:
-        assert sim.alive_in_range(nid) is before[nid]
-
-
 def test_one_sweep_serves_every_query_until_the_next_invalidation():
     sim = bare_sim()
     for nid, x in ((0, 0.0), (1, 50.0), (2, 100.0)):
@@ -532,6 +507,34 @@ def test_one_sweep_serves_every_query_until_the_next_invalidation():
     sim.mark_dead(1)   # invalidates; the dead node's own query returns ()
     assert [sim.alive_in_range(nid) for nid in (2, 1, 0)] == [(), (), ()]
     assert len(sweeps) == 2
+
+
+def test_a_tick_that_moves_no_alive_node_builds_no_table():
+    # A mobility tick each second, then a HELLO round that queries every
+    # alive node: a table is built only after a tick that moved an alive node.
+    config = static_config(node_count=4, node_speed_mps=5.0, pause_time_s=1000.0)
+    sim = build_simulation(config, positions={nid: Position(50.0 * nid, 0.0)
+                                              for nid in range(4)}, flow_pairs=[])
+    for node in sim.nodes.values():
+        node.mobility.pause_remaining = 1000.0
+    builds = []
+    build = sim._neighbor_table
+    sim._neighbor_table = lambda: builds.append(sim.now) or build()
+    sim.run_until(4.5)
+    assert builds == [0.0]   # every node paused: ticks 1-4 build nothing
+
+    sim.mark_dead(3)
+    walker = sim.nodes[3]
+    walker.mobility.pause_remaining, walker.mobility.waypoint = 0.0, Position(400.0, 400.0)
+    start = walker.pos
+    sim.run_until(8.5)
+    assert walker.pos != start
+    assert builds == [0.0, 5.0]   # the death's; only the dead node moves at 6-8
+
+    sim.nodes[0].mobility.pause_remaining = 0.0
+    sim.nodes[0].mobility.waypoint = Position(0.0, 400.0)
+    sim.run_until(9.5)
+    assert builds == [0.0, 5.0, 9.0]
 
 
 def test_empty_simulation_yields_zero_metrics():

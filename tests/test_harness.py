@@ -2,6 +2,7 @@
 and the command line interface."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -402,6 +403,34 @@ def test_cli_zero_undecided_timer_exits_2(capsys):
     # An isolated undecided node would re-arm its timer at now + 0 forever.
     assert main(["run", "--set", "undecided_timer_intervals=0"]) == 2
     assert "undecided_timer_intervals" in capsys.readouterr().err
+
+
+# Each period is too short for duration_s + period to differ from duration_s.
+@pytest.mark.parametrize("key, value", [("hello_interval_s", 1e-17),
+                                        ("mobility_tick_s", 1e-17),
+                                        ("undecided_timer_intervals", 1e-30),
+                                        ("packets_per_second", 1e17)])
+def test_validation_rejects_a_period_that_cannot_advance_the_clock(key, value):
+    with pytest.raises(ConfigError, match=key):
+        ScenarioConfig(duration_s=10.0, **{key: value}).validate()
+
+
+def test_validation_rejects_a_period_that_stalls_below_duration():
+    # duration_s + period rounds up to the next float, yet 10.0 + period
+    # ties back to 10.0: a clock that reaches 10.0 would stay there.
+    duration = math.nextafter(10.0, 11.0)
+    period = math.ulp(duration) / 2.0
+    assert duration + period != duration and 10.0 + period == 10.0
+    with pytest.raises(ConfigError, match="mobility_tick_s"):
+        ScenarioConfig(duration_s=duration, mobility_tick_s=period).validate()
+    ScenarioConfig(duration_s=duration,
+                   mobility_tick_s=math.nextafter(period, 1.0)).validate()
+
+
+def test_cli_packet_period_that_cannot_advance_the_clock_exits_2(capsys):
+    assert main(["run", "--nodes", "5", "--set", "duration_s=10",
+                 "--set", "packets_per_second=1e17"]) == 2
+    assert "packets_per_second" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--nodes", "5,abc"), ("--nodes", ","),
