@@ -9,6 +9,11 @@ from typing import Optional
 
 PROTOCOL_MODES = ("cbrp", "ecbrp")
 
+# The most firings any one periodic timer may need to reach duration_s. A
+# period too short to advance the clock at all would fire at one instant
+# forever; this bound rejects it too.
+MAX_FIRINGS = 1e9
+
 
 class ConfigError(ValueError):
     """Raised with the offending key named in the message."""
@@ -96,20 +101,15 @@ class ScenarioConfig:
                     "traffic_start_s", "head_transmit_cost_factor"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key}: must be non-negative, got {getattr(self, key)}")
-        # A timer re-arms at now + period, which never passes now when the
-        # period is at most half the float spacing at now; then it fires at one
-        # instant forever. Every clock reading of a run is at most duration_s,
-        # where that spacing is widest. (At exactly half, duration_s + period
-        # can round up while an earlier reading with an even last bit stays.)
         periods = {"hello_interval_s": self.hello_interval_s,
                    "mobility_tick_s": self.mobility_tick_s,
                    "undecided_timer_intervals": self.undecided_timer_s()}
         if self.packets_per_second > 0:
             periods["packets_per_second"] = 1.0 / self.packets_per_second
         for key, period in periods.items():
-            if 2.0 * period <= math.ulp(self.duration_s):
-                raise ConfigError(f"{key}: a period of {period} s cannot advance the clock "
-                                  f"at duration_s = {self.duration_s}")
+            if period == 0.0 or self.duration_s / period > MAX_FIRINGS:
+                raise ConfigError(f"{key}: a period of {period} s fires more than "
+                                  f"{MAX_FIRINGS:.0e} times in duration_s = {self.duration_s}")
         if self.ideal_degree < 0:
             raise ConfigError(f"ideal_degree: must be >= 0, got {self.ideal_degree}")
         if self.p_v_mode not in ("ch_time", "energy_consumed"):

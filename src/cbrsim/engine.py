@@ -12,8 +12,8 @@ have been superseded checks that itself when it runs, and returns.
 
 Transmissions due at the same instant share one "deliver" event while
 nothing else is scheduled between them: each hands its message to its
-receivers in order, and a route request skips the receivers that have
-already seen it. Had each transmission been its own event, it would have
+receivers in order, and a route request skips the receivers that its flood
+has already reached. Had each transmission been its own event, it would have
 taken the very next seq, right behind the batch, so the handling order is
 the same (see _schedule_delivery).
 
@@ -217,8 +217,8 @@ class Simulator:
         handling order is the same. If the batch is firing, the delivery
         would have been the next event, and the batch's loop runs it (a list
         iterator sees an appended item).
-        A route request skips each receiver that has already seen its id,
-        the one duplicate test of route discovery: handle_rreq only sees a
+        A route request skips each receiver in its flood's `seen` set, the
+        one duplicate test of route discovery: handle_rreq only sees a
         request new to its node, and a duplicate costs one set lookup."""
         fire_time = self.now + self.config.propagation_delay_s
         batch = self._batch
@@ -234,11 +234,10 @@ class Simulator:
         # it was a unicast's next hop. It may have died since the send.
         nodes = self.nodes
         for sender_id, receivers, message in batch:   # sees what joins while it runs
-            request_id = message.request_id if type(message) is RouteRequest else None
+            seen = message.seen if type(message) is RouteRequest else None
             for receiver_id in receivers:
                 receiver = nodes[receiver_id]
-                if receiver.role != ROLE_DEAD and (
-                        request_id is None or request_id not in receiver.routing.seen_rreq):
+                if receiver.role != ROLE_DEAD and (seen is None or receiver_id not in seen):
                     receiver.handle_message(message, sender_id)
         if self._batch is batch:
             self._batch = None

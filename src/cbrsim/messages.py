@@ -7,7 +7,7 @@ build; equality without frozen makes them unhashable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .geometry import Position
 
@@ -43,6 +43,10 @@ class RouteRequest:
     request_id: Tuple[int, int, int]   # (source, sequence, retry)
     dest_id: int
     recorded_path: List[int]
+    # Ids of the nodes that hold this request: its source and every node it
+    # has reached. Every copy of one flood shares this one set, so it goes
+    # with the flood's last copy.
+    seen: Set[int]
 
 
 @dataclass(slots=True)

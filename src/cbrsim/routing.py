@@ -1,4 +1,4 @@
-"""Cluster-based source routing: discovery over cluster heads, loop
+"""Cluster-based source routing: discovery over cluster heads, duplicate
 suppression, reply/retry, hop-by-hop data forwarding, and the two
 error-recovery policies (salvage vs. secondary-head substitution).
 """
@@ -25,6 +25,7 @@ class RoutingState:
     pending: Dict[int, _Pending] = field(default_factory=dict)     # dest -> pending discovery
     routes: Dict[int, List[int]] = field(default_factory=dict)     # dest -> established path
     queued: Dict[int, List[int]] = field(default_factory=dict)     # dest -> waiting packet ids
+    # This node's own request ids; perfbench/tracer.py and tests read it.
     seen_rreq: Set[Tuple[int, int, int]] = field(default_factory=set)
     cached_suffix: Dict[int, List[int]] = field(default_factory=dict)  # route_cache=on only
 
@@ -75,7 +76,7 @@ def _send_rreq(sim: Simulator, node, pending: _Pending) -> None:
     state = node.routing
     rid = (node.node_id, pending.seq, pending.retry)
     state.seen_rreq.add(rid)
-    rreq = RouteRequest(rid, pending.dest_id, [node.node_id])
+    rreq = RouteRequest(rid, pending.dest_id, [node.node_id], {node.node_id})
     sim.broadcast(node.node_id, rreq)
 
     def on_timeout():
@@ -111,27 +112,23 @@ def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
 
 
 def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
-    # Simulator._deliver hands a node only a request it has not seen.
-    state = node.routing
-    state.seen_rreq.add(rreq.request_id)
-    if node.node_id in rreq.recorded_path:
-        return  # loop: a copy already passed through here
+    # Simulator._deliver hands a node only a request whose flood has not
+    # reached it; every node on the recorded path is in rreq.seen.
+    rreq.seen.add(node.node_id)
     path = rreq.recorded_path + [node.node_id]
     if sim.trace is not None:
         sim.record("path", tuple(path))
-    # The destination relays no request for itself, so the loop test above
-    # never drops its copy.
     if node.node_id == rreq.dest_id:
         _start_rrep(sim, node, rreq.request_id, path)
         return
     if sim.config.route_cache:
-        suffix = state.cached_suffix.get(rreq.dest_id)
+        suffix = node.routing.cached_suffix.get(rreq.dest_id)
         if suffix is not None and not set(suffix[1:]) & set(path):
             _start_rrep(sim, node, rreq.request_id, path + suffix[1:])
             return
     if not _should_relay(node, rreq.recorded_path, rreq.dest_id):
         return
-    sim.broadcast(node.node_id, RouteRequest(rreq.request_id, rreq.dest_id, path))
+    sim.broadcast(node.node_id, RouteRequest(rreq.request_id, rreq.dest_id, path, rreq.seen))
 
 
 def _start_rrep(sim: Simulator, node, request_id, full_path: List[int]) -> None:

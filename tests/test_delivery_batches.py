@@ -17,16 +17,17 @@ from conftest import add_node, assert_conserved, bare_sim, static_sim
 def _per_transmission_delivery(self, sender_id, receivers, message):
     """The reference engine's delivery: one "deliver" event per transmission,
     handing the message to every receiver still alive, in order, and
-    skipping a route request's receivers that have already seen it."""
+    skipping a route request's receivers that its flood has already
+    reached."""
     nodes = self.nodes
     if type(message) is RouteRequest:
-        request_id = message.request_id
+        seen = message.seen
 
         def deliver():
             for receiver_id in receivers:
                 receiver = nodes.get(receiver_id)
                 if (receiver is not None and receiver.role != ROLE_DEAD
-                        and request_id not in receiver.routing.seen_rreq):
+                        and receiver_id not in seen):
                     receiver.handle_message(message, sender_id)
     else:
         def deliver():

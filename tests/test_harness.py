@@ -15,6 +15,7 @@ import cbrsim
 from cbrsim import (ConfigError, RunMetrics, ScenarioConfig, load_config_file,
                     pdr, run_scenario, sweep, sweep_to_csv, write_sweep_csv)
 from cbrsim.cli import main
+from cbrsim.config import MAX_FIRINGS
 from cbrsim.experiment import CSV_COLUMNS
 from cbrsim.geometry import Position
 from cbrsim.scenario import _draw_flows, build_simulation
@@ -423,14 +424,36 @@ def test_validation_rejects_a_period_that_stalls_below_duration():
     assert duration + period != duration and 10.0 + period == 10.0
     with pytest.raises(ConfigError, match="mobility_tick_s"):
         ScenarioConfig(duration_s=duration, mobility_tick_s=period).validate()
-    ScenarioConfig(duration_s=duration,
-                   mobility_tick_s=math.nextafter(period, 1.0)).validate()
+    # A period passes with exactly MAX_FIRINGS firings in duration_s, and
+    # fails with one float of duration_s more.
+    period = 2.0 ** -20
+    duration = MAX_FIRINGS * period   # exact: an integer times a power of two
+    assert duration / period == MAX_FIRINGS
+    ScenarioConfig(duration_s=duration, mobility_tick_s=period).validate()
+    with pytest.raises(ConfigError, match="mobility_tick_s"):
+        ScenarioConfig(duration_s=math.nextafter(duration, math.inf),
+                       mobility_tick_s=period).validate()
+
+
+def test_validation_rejects_an_undecided_timer_that_rounds_to_zero():
+    # 5e-324 intervals of 1e-9 s is 0.0 s: the timer would re-arm at now.
+    assert 5e-324 * 1e-9 == 0.0
+    with pytest.raises(ConfigError, match="undecided_timer_intervals"):
+        ScenarioConfig(duration_s=1.0, hello_interval_s=1e-9,
+                       undecided_timer_intervals=5e-324).validate()
 
 
 def test_cli_packet_period_that_cannot_advance_the_clock_exits_2(capsys):
     assert main(["run", "--nodes", "5", "--set", "duration_s=10",
                  "--set", "packets_per_second=1e17"]) == 2
     assert "packets_per_second" in capsys.readouterr().err
+
+
+def test_cli_period_that_needs_too_many_firings_exits_2(capsys):
+    # 5e15 mobility ticks: each one advances the clock, but the run never ends.
+    assert main(["run", "--nodes", "5", "--set", "duration_s=10",
+                 "--set", "mobility_tick_s=2e-15"]) == 2
+    assert "mobility_tick_s" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--nodes", "5,abc"), ("--nodes", ","),

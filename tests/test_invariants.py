@@ -6,8 +6,9 @@ A node leaves the undecided state only by joining a head or by winning the
 election; a head stops heading only by losing contention or by dying; only a
 member falls back to undecided. A HELLO that names a secondary also names
 its cluster, and every HELLO is handled at the time it carries. A route
-reply retraces its recorded path hop by hop, a data packet is only handled
-by the node at its cursor, and every unicast goes to a node of the run."""
+request never reaches a node on its recorded path, a route reply retraces
+its recorded path hop by hop, a data packet is only handled by the node at
+its cursor, and every unicast goes to a node of the run."""
 
 from collections import Counter
 
@@ -32,6 +33,8 @@ def _forward_data(sim, node, packet):
 # (owner, function name, condition on the call's arguments). A condition
 # returns None for a call it does not apply to; such a call is not counted.
 INVARIANTS = (
+    (routing, "handle_rreq",
+     lambda sim, node, rreq: node.node_id not in rreq.recorded_path),
     (routing, "handle_rrep",
      lambda sim, node, rrep: rrep.full_path[rrep.cursor] == node.node_id),
     (routing, "forward_data", _forward_data),

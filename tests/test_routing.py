@@ -45,27 +45,21 @@ def test_partitioned_destination_gives_up_with_no_route():
 
 def test_duplicate_request_suppressed():
     # Two copies of one request reach node 1 in one delivery; the delivery
-    # skips the second, as node 1 has seen the request by then.
+    # skips the second, as handling the first put node 1 in their shared set.
     sim = bare_sim()
     add_node(sim, 9, 0.0, 0.0)
     add_node(sim, 1, 50.0, 0.0)
+    seen = {9}
     for _ in range(2):
-        sim.broadcast(9, RouteRequest((9, 0, 0), 5, [9]))
+        sim.broadcast(9, RouteRequest((9, 0, 0), 5, [9], seen))
     sim.run_until(0.0)
     assert recorded_paths(sim) == [(9, 1)]
-
-
-def test_request_with_own_id_on_path_is_dropped():
-    sim = bare_sim()
-    node = add_node(sim, 1, 0.0, 0.0)
-    routing.handle_rreq(sim, node, RouteRequest((9, 3, 0), 5, [9, 1, 4]))
-    assert recorded_paths(sim) == []   # a copy already passed through node 1
 
 
 @pytest.mark.parametrize("delay", [0.0, 0.002])
 @pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
 def test_duplicate_requests_never_reach_dispatch(mode, delay, monkeypatch):
-    # A delivery skips a receiver that has already seen the request, so
+    # A delivery skips a receiver that its flood has already reached, so
     # handle_message gets each request once per node that did not send it.
     dispatched, duplicates = [], []
     handle_message = Node.handle_message
@@ -73,7 +67,7 @@ def test_duplicate_requests_never_reach_dispatch(mode, delay, monkeypatch):
     def spy(node, message, sender_id):
         if type(message) is RouteRequest:
             dispatched.append((node.node_id, message.request_id))
-            if message.request_id in node.routing.seen_rreq:
+            if node.node_id in message.seen:
                 duplicates.append((node.node_id, message.request_id))
         handle_message(node, message, sender_id)
     monkeypatch.setattr(Node, "handle_message", spy)
@@ -81,12 +75,40 @@ def test_duplicate_requests_never_reach_dispatch(mode, delay, monkeypatch):
                             initial_energy=1e9, propagation_delay_s=delay)
     sim = build_simulation(config)
     sim.run_until(config.duration_s)
-    # A node's seen ids are its own requests and its first receipts.
-    first_receipts = sum(1 for node in sim.nodes.values()
-                         for source, _seq, _retry in node.routing.seen_rreq
-                         if source != node.node_id)
+    first_receipts = set(dispatched)
     assert duplicates == []
-    assert len(dispatched) == first_receipts > 100
+    assert len(dispatched) == len(first_receipts) > 100
+    assert all(node_id != request_id[0] for node_id, request_id in first_receipts)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.002])
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+def test_one_seen_set_per_flood_holds_its_source_and_the_nodes_it_reached(mode, delay,
+                                                                          monkeypatch):
+    # Checked as each copy is handled too, so that a broken set fails at once
+    # instead of letting the flood run without end.
+    floods = {}   # request id -> (the flood's seen set, the nodes that handled it)
+    handle_rreq = routing.handle_rreq
+
+    def spy(sim, node, rreq):
+        seen, handlers = floods.setdefault(rreq.request_id, (rreq.seen, set()))
+        assert rreq.seen is seen   # every copy of the flood shares one set
+        handlers.add(node.node_id)
+        handle_rreq(sim, node, rreq)
+        assert node.node_id in seen
+    monkeypatch.setattr(routing, "handle_rreq", spy)
+    config = ScenarioConfig(node_count=60, duration_s=20.0, seed=1, protocol_mode=mode,
+                            initial_energy=1e9, propagation_delay_s=delay)
+    sim = build_simulation(config)
+    sim.run_until(config.duration_s)
+    # A node logs its own request ids only.
+    for node in sim.nodes.values():
+        assert all(source == node.node_id for source, _seq, _retry in node.routing.seen_rreq)
+    assert len(floods) > 20
+    for request_id, (seen, handlers) in floods.items():
+        source = request_id[0]
+        assert request_id in sim.nodes[source].routing.seen_rreq
+        assert seen == {source} | handlers
 
 
 def test_head_fanout_reaches_each_adjacent_cluster_via_its_gateway():
@@ -314,7 +336,7 @@ def test_member_relays_only_for_a_fresh_neighbour(age, relays):
     gateway.role = ROLE_MEMBER
     gateway.head_id = 9          # already on the recorded path
     add_neighbor(gateway, 7, 0.0, 40.0, role=ROLE_HEAD, cluster=7, age=age)
-    routing.handle_rreq(sim, gateway, RouteRequest((9, 0, 0), 5, [9]))
+    routing.handle_rreq(sim, gateway, RouteRequest((9, 0, 0), 5, [9], {9}))
     sim.run_until(sim.now)
     assert ((9, 1, 2) in recorded_paths(sim)) == relays
 
