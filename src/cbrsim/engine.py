@@ -12,10 +12,12 @@ have been superseded checks that itself when it runs, and returns.
 
 Transmissions due at the same instant share one "deliver" event while
 nothing else is scheduled between them: each hands its message to its
-receivers in order, and a route request skips the receivers that its flood
-has already reached. Had each transmission been its own event, it would have
-taken the very next seq, right behind the batch, so the handling order is
-the same (see _schedule_delivery).
+receivers in order. A route request first drops, once per transmission, the
+receivers that its flood has already reached; a HELLO goes to every
+receiver still alive, whose handle_message passes it straight to on_hello.
+Had each transmission been its own event, it would have taken the very
+next seq, right behind the batch, so the handling order is the same (see
+_schedule_delivery).
 
 Between two invalidate_neighbors() calls the topology is fixed, and the
 first neighbour query builds every node's receivers at once, from a fresh
@@ -188,7 +190,7 @@ class Simulator:
         """Send to every alive node in range; returns those receivers, in
         self.nodes order, or () if the sender is dead."""
         sender = self.nodes[sender_id]
-        if not sender.alive:
+        if sender.role == ROLE_DEAD:
             return ()
         receivers = self.alive_in_range(sender_id)
         self._transmit(sender, receivers, message)
@@ -217,9 +219,13 @@ class Simulator:
         handling order is the same. If the batch is firing, the delivery
         would have been the next event, and the batch's loop runs it (a list
         iterator sees an appended item).
-        A route request skips each receiver in its flood's `seen` set, the
-        one duplicate test of route discovery: handle_rreq only sees a
-        request new to its node, and a duplicate costs one set lookup."""
+        A route request drops each receiver in its flood's `seen` set once,
+        before its receiver loop: the one duplicate test of route discovery,
+        so handle_rreq only sees a request new to its node. Filtering up front
+        is the same as testing each receiver as its turn comes: handle_rreq
+        adds only its own node to the set, and a relay's copy is delivered
+        after this transmission, so no later receiver of it joins the set
+        while the loop runs."""
         fire_time = self.now + self.config.propagation_delay_s
         batch = self._batch
         if batch is not None and self._batch_time == fire_time:
@@ -234,10 +240,12 @@ class Simulator:
         # it was a unicast's next hop. It may have died since the send.
         nodes = self.nodes
         for sender_id, receivers, message in batch:   # sees what joins while it runs
-            seen = message.seen if type(message) is RouteRequest else None
+            if type(message) is RouteRequest:
+                seen = message.seen
+                receivers = [r for r in receivers if r not in seen]
             for receiver_id in receivers:
                 receiver = nodes[receiver_id]
-                if receiver.role != ROLE_DEAD and (seen is None or receiver_id not in seen):
+                if receiver.role != ROLE_DEAD:
                     receiver.handle_message(message, sender_id)
         if self._batch is batch:
             self._batch = None

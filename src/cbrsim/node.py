@@ -33,8 +33,9 @@ by the scenario's startup event. It stays on the queue: re-arming supersedes
 the armed one, which then returns when due, and on_undecided_timeout
 returns unless the node is undecided. A node sends a HELLO when
 the scenario's HELLO round (once at startup, then one event per
-hello_interval_s for all nodes) calls send_hello; the round skips a dead
-node.
+hello_interval_s for all nodes) calls send_hello, and maintains its table
+when the scenario's maintenance tick calls table_maintenance; both skip a
+dead node.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from .mobility import EnergyState, MobilityState
 from .weights import WeightComponents, WeightFactors, average_speed, combined_weight, degree_difference
 
 # Message type -> name of the Node method that handles it, called as
-# method(message, sender_id). Looked up on the node at each call, so a method
-# patched on the class or the instance is the one that runs.
+# method(message, sender_id), for every type but Hello, which handle_message
+# tests first and hands straight to on_hello. Looked up on the node at each
+# call, so a method patched on the class or the instance is the one that runs.
 _HANDLERS = {
-    Hello: "on_hello",
     SecondaryAnnounce: "on_secondary_announce",
     RouteRequest: "_on_rreq",
     RouteReply: "_on_rrep",
@@ -122,8 +123,10 @@ class Node:
     # same test through weight_components).
 
     def fresh_neighbors(self) -> List[Hello]:
-        """iter_fresh_neighbors() as a list."""
-        return list(self.iter_fresh_neighbors())
+        """The Hellos of neighbours heard within the stale timeout, in table
+        order, as a list: the same cutoff as iter_fresh_neighbors()."""
+        cutoff = self.sim.now - self.stale_timeout_s
+        return [h for h in self.neighbors.values() if h.heard_at >= cutoff]
 
     def iter_fresh_neighbors(self) -> Iterator[Hello]:
         """The Hellos of neighbours heard within the stale timeout, in table
@@ -209,6 +212,9 @@ class Node:
     # -- message dispatch --------------------------------------------------
 
     def handle_message(self, message, sender_id: int) -> None:
+        if type(message) is Hello:   # most receptions: skip the table
+            self.on_hello(message, sender_id)
+            return
         try:
             name = _HANDLERS[type(message)]
         except KeyError:
@@ -236,11 +242,13 @@ class Node:
         if hello.secondary_id is not None:
             self.known_secondaries[hello.cluster_id] = hello.secondary_id
 
-        if self.role == ROLE_HEAD:
+        role = self.role
+        if role == ROLE_HEAD:
             self._head_on_hello(hello, sender_id)
-        elif self.role == ROLE_MEMBER:
-            self._member_on_hello(hello, sender_id)
-        elif self.role == ROLE_UNDECIDED:
+        elif role == ROLE_MEMBER:
+            if sender_id == self.head_id:
+                self._member_on_hello(hello)
+        elif role == ROLE_UNDECIDED:
             if hello.sender_role == ROLE_HEAD and not self._join_eval_scheduled:
                 self._join_eval_scheduled = True
                 self.sim.schedule(self.sim.now, "join-evaluate", self._join_evaluate)
@@ -279,14 +287,14 @@ class Node:
             self._ch_since = None
         self.member_ids = set()
 
-    def _member_on_hello(self, hello: Hello, sender_id: int) -> None:
-        if sender_id == self.head_id:
-            if hello.sender_role == ROLE_HEAD:
-                self.secondary = hello.secondary_id
-            elif not self._join_best_head(self.current_degree_entries()):
-                # Our head stepped down (lost contention) and no other head
-                # is in range: reform.
-                self.revert_undecided()
+    def _member_on_hello(self, hello: Hello) -> None:
+        """A HELLO from this member's own head."""
+        if hello.sender_role == ROLE_HEAD:
+            self.secondary = hello.secondary_id
+        elif not self._join_best_head(self.current_degree_entries()):
+            # Our head stepped down (lost contention) and no other head
+            # is in range: reform.
+            self.revert_undecided()
 
     def _join_best_head(self, entries: List[Hello]) -> bool:
         """Join the best head among entries, other than head_id: for a
@@ -372,8 +380,6 @@ class Node:
     # -- table maintenance and failover ------------------------------------
 
     def table_maintenance(self) -> None:
-        if not self.alive:
-            return
         cutoff = self.sim.now - self.stale_timeout_s
         expired = [nid for nid, h in self.neighbors.items() if h.heard_at < cutoff]
         for nid in expired:

@@ -6,7 +6,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import routing
 from .config import ScenarioConfig
-from .engine import Simulator
+from .engine import ROLE_DEAD, Simulator
 from .geometry import Position
 from .mobility import EnergyState, MobilityState, mobility_step, place_nodes, random_waypoint
 from .node import Node
@@ -66,7 +66,8 @@ def build_simulation(config: ScenarioConfig,
 
     def maintain():
         for node in sim.nodes.values():
-            node.table_maintenance()
+            if node.role != ROLE_DEAD:
+                node.table_maintenance()
     # Offset half a tick so each maintenance pass sees that second's HELLOs.
     _every(sim, dt / 2.0, dt, "maintenance-tick", maintain)
 
@@ -112,7 +113,7 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
 
     def hello_round():
         for node in nodes:
-            if node.alive:
+            if node.role != ROLE_DEAD:
                 node.send_hello()
 
     _every(sim, sim.now + interval, interval, "hello", hello_round)

@@ -8,7 +8,7 @@ the scale differences.
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WeightFactors:
     w1: float
     w2: float

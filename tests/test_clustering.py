@@ -70,6 +70,33 @@ def test_every_receiver_keeps_the_one_broadcast_hello():
     assert sim.nodes[1].neighbors[0] is sim.nodes[2].neighbors[0]
 
 
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+def test_dispatch_hands_each_hello_to_the_nodes_own_on_hello(mode, monkeypatch):
+    # handle_message looks on_hello up on the node, so a method patched on
+    # one instance receives every HELLO dispatched to that node, and only those.
+    dispatched, handled = [], []
+    handle_message = Node.handle_message
+
+    def dispatch_spy(node, message, sender_id):
+        if node.node_id == 0 and type(message) is Hello:
+            dispatched.append((node.sim.now, message, sender_id))
+        handle_message(node, message, sender_id)
+    monkeypatch.setattr(Node, "handle_message", dispatch_spy)
+    config = ScenarioConfig(node_count=40, duration_s=6.0, seed=1, protocol_mode=mode)
+    sim = build_simulation(config)
+    watched = sim.nodes[0]
+    on_hello = watched.on_hello
+
+    def instance_spy(hello, sender_id):
+        handled.append((watched.sim.now, hello, sender_id))
+        on_hello(hello, sender_id)
+    watched.on_hello = instance_spy
+    sim.run_until(config.duration_s)
+    assert len(handled) > 0
+    assert handled == dispatched
+    assert all(h is d for (_, h, _), (_, d, _) in zip(handled, dispatched))
+
+
 # -- the HELLO round --------------------------------------------------------
 
 @pytest.mark.parametrize("n", [5, 12])

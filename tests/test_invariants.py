@@ -4,11 +4,12 @@ whole runs, meets the condition written next to it.
 
 A node leaves the undecided state only by joining a head or by winning the
 election; a head stops heading only by losing contention or by dying; only a
-member falls back to undecided. A HELLO that names a secondary also names
-its cluster, and every HELLO is handled at the time it carries. A route
-request never reaches a node on its recorded path, a route reply retraces
-its recorded path hop by hop, a data packet is only handled by the node at
-its cursor, and every unicast goes to a node of the run."""
+member falls back to undecided. Only an alive node's table is maintained. A
+HELLO that names a secondary also names its cluster, and every HELLO is
+handled at the time it carries. A route request never reaches a node twice
+or a node on its recorded path, a route reply retraces its recorded path hop
+by hop, a data packet is only handled by the node at its cursor, and every
+unicast goes to a node of the run."""
 
 from collections import Counter
 
@@ -46,6 +47,7 @@ INVARIANTS = (
      lambda node, hello, sender_id: None if node.mode != "ecbrp"
      else node.last_advertised_weight is not None),
     (Node, "become_head", lambda node, *args: not node.member_ids),
+    (Node, "table_maintenance", lambda node: node.alive),
     (Node, "on_undecided_timeout", _undecided_has_no_head),
     (Node, "_join_evaluate", _undecided_has_no_head),
     (Node, "on_hello",
@@ -67,7 +69,6 @@ def _matrix():
 
 def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
     calls = Counter()
-    broken = []
 
     def spy(row, owner, name, holds):
         original = getattr(owner, name)
@@ -76,16 +77,29 @@ def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
             verdict = holds(*args)
             if verdict is not None:
                 calls[row, name] += 1
-                if not verdict:
-                    broken.append((name, args))
+                # Fail at the first broken call: a broken duplicate rule
+                # would otherwise let a flood run without end.
+                assert verdict, (name, args)
             return original(*args)
         monkeypatch.setattr(owner, name, checked)
 
-    for row, (owner, name, holds) in enumerate(INVARIANTS):
+    # One more row, with state: handle_rreq sees a request once per node.
+    # The pairs are of one run, as request ids repeat from run to run.
+    handled = set()
+
+    def first_receipt(sim, node, rreq):
+        pair = (node.node_id, rreq.request_id)
+        fresh = pair not in handled
+        handled.add(pair)
+        return fresh
+    rows = (*INVARIANTS, (routing, "handle_rreq", first_receipt))
+
+    for row, (owner, name, holds) in enumerate(rows):
         spy(row, owner, name, holds)
     for config in _matrix():
+        handled.clear()
         build_simulation(config).run_until(config.duration_s)
     for mode in ("cbrp", "ecbrp"):
+        handled.clear()
         run_failover_trace(mode)
-    assert not broken, broken[:5]
-    assert len(calls) == len(INVARIANTS), calls
+    assert len(calls) == len(rows), calls

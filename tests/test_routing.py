@@ -61,22 +61,24 @@ def test_duplicate_request_suppressed():
 def test_duplicate_requests_never_reach_dispatch(mode, delay, monkeypatch):
     # A delivery skips a receiver that its flood has already reached, so
     # handle_message gets each request once per node that did not send it.
-    dispatched, duplicates = [], []
+    # Asserted at dispatch time, so that a broken duplicate rule fails at its
+    # first duplicate instead of letting the flood run without end.
+    dispatched, first_receipts = [], set()
     handle_message = Node.handle_message
 
     def spy(node, message, sender_id):
         if type(message) is RouteRequest:
-            dispatched.append((node.node_id, message.request_id))
-            if node.node_id in message.seen:
-                duplicates.append((node.node_id, message.request_id))
+            pair = (node.node_id, message.request_id)
+            assert node.node_id not in message.seen, pair
+            assert pair not in first_receipts, pair
+            dispatched.append(pair)
+            first_receipts.add(pair)
         handle_message(node, message, sender_id)
     monkeypatch.setattr(Node, "handle_message", spy)
     config = ScenarioConfig(node_count=60, duration_s=20.0, seed=1, protocol_mode=mode,
                             initial_energy=1e9, propagation_delay_s=delay)
     sim = build_simulation(config)
     sim.run_until(config.duration_s)
-    first_receipts = set(dispatched)
-    assert duplicates == []
     assert len(dispatched) == len(first_receipts) > 100
     assert all(node_id != request_id[0] for node_id, request_id in first_receipts)
 
