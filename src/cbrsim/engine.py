@@ -22,8 +22,9 @@ _schedule_delivery).
 Between two invalidate_neighbors() calls the topology is fixed, and the
 first neighbour query builds every node's receivers at once, from a fresh
 uniform grid that tests each pair of alive nodes once. Nothing is kept from
-one topology to the next. A dead node is not binned; its query returns (),
-as its radio reaches no one.
+one topology to the next, except across a death: no position changes then,
+so mark_dead edits the held table in place instead of discarding it. A dead
+node is not binned; its query returns (), as its radio reaches no one.
 
 Every next hop given to unicast is a node of the run: routes, replies and
 repairs are built only from the ids of the run's nodes
@@ -78,7 +79,8 @@ class Simulator:
         # (time, kind, *fields) tuples; None records nothing.
         self.trace: Optional[List[tuple]] = None
         # node id -> its alive_in_range result; filled for every node at
-        # once by the first query after invalidate_neighbors().
+        # once by the first query after invalidate_neighbors(), and edited
+        # by mark_dead.
         self._nbr_cache: Dict[int, Tuple[int, ...]] = {}
         # Cells a hair wider than the radio range, so that any pair the range
         # test accepts is at most one cell apart on each axis. Exactly
@@ -122,8 +124,8 @@ class Simulator:
     # -- radio -------------------------------------------------------------
 
     def invalidate_neighbors(self) -> None:
-        """Forget the neighbour table; call after an alive node moves, or any
-        node dies or joins."""
+        """Forget the neighbour table; call after an alive node moves or a
+        node joins. A death needs no call: mark_dead edits the table."""
         self._nbr_cache = {}
 
     def alive_in_range(self, node_id: int) -> Tuple[int, ...]:
@@ -148,7 +150,7 @@ class Simulator:
         ids = list(self.nodes)
         cells: Dict[Tuple[int, int], List[tuple]] = {}   # cell -> (rank, x, y)
         for rank, node in enumerate(self.nodes.values()):
-            if node.alive:
+            if node.role != ROLE_DEAD:
                 x, y = node.pos.x, node.pos.y
                 cells.setdefault((int(x // cell_m), int(y // cell_m)), []).append((rank, x, y))
         found: List[List[int]] = [[] for _ in ids]   # rank -> ranks in range
@@ -199,10 +201,11 @@ class Simulator:
     def unicast(self, sender_id: int, next_hop: int, message) -> bool:
         """True iff the hop is feasible (next hop alive and in range) at send time."""
         sender = self.nodes[sender_id]
-        if not sender.alive:
+        if sender.role == ROLE_DEAD:
             return False
         target = self.nodes[next_hop]
-        ok = target.alive and distance(sender.pos, target.pos) <= self.config.tx_range_m
+        ok = (target.role != ROLE_DEAD
+              and distance(sender.pos, target.pos) <= self.config.tx_range_m)
         self._transmit(sender, (next_hop,) if ok else (), message)
         return ok
 
@@ -257,7 +260,14 @@ class Simulator:
         if node.role == ROLE_DEAD:
             return
         node.on_death()
-        self.invalidate_neighbors()
+        # The held table, if any, stays right once the dead id leaves its
+        # neighbours' rows (a tuple without one id keeps self.nodes order)
+        # and its own row is (); positions have not changed.
+        table = self._nbr_cache
+        if table:
+            for other in table.get(node_id, ()):
+                table[other] = tuple([n for n in table[other] if n != node_id])
+            table[node_id] = ()
 
     def force_kill(self, node_id: int, at: float) -> None:
         """Scripted death: energy zeroed and node silenced at the given time."""

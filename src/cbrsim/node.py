@@ -36,6 +36,14 @@ the scenario's HELLO round (once at startup, then one event per
 hello_interval_s for all nodes) calls send_hello, and maintains its table
 when the scenario's maintenance tick calls table_maintenance; both skip a
 dead node.
+
+What a node hears right now comes from the one neighbour view: the fresh
+entries (fresh_neighbors, iter_fresh_neighbors), those within range
+(current_degree_entries), and those within range that advertise the head
+role (current_head_entries), which the joins read. Before each HELLO,
+weight_now computes the weight's terms and their sum in its own body, with
+no intermediate object; combined_weight(weight_components()) gives the
+same float, and the tests and the acceptance oracle read the terms there.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 from .geometry import Position
 from .messages import DataPacket, Hello, RouteReply, RouteRequest, SecondaryAnnounce
 from .mobility import EnergyState, MobilityState
-from .weights import WeightComponents, WeightFactors, average_speed, combined_weight, degree_difference
+from .weights import WeightComponents, WeightFactors, average_speed, degree_difference
 
 # Message type -> name of the Node method that handles it, called as
 # method(message, sender_id), for every type but Hello, which handle_message
@@ -86,6 +94,9 @@ class Node:
         self.mode = cfg.protocol_mode
         self.factors = WeightFactors(cfg.w1, cfg.w2, cfg.w3, cfg.w4)
         self.stale_timeout_s = cfg.stale_timeout_s()
+        self.tx_range_m = cfg.tx_range_m
+        self.ideal_degree = cfg.ideal_degree
+        self.head_metric_is_energy = cfg.p_v_mode == "energy_consumed"
 
         self.role = ROLE_UNDECIDED
         self.head_id: Optional[int] = None
@@ -119,8 +130,11 @@ class Node:
         return self.known_secondaries.get(head_id)
 
     # The one neighbour view: every decision that depends on which neighbours
-    # a node hears right now reads one of these (the weight reads the
-    # same test through weight_components).
+    # a node hears right now reads one of these (the weight applies the same
+    # range test to fresh_neighbors() in its own loop). One reader reads the
+    # table whole: _reelect_secondary, which runs only from table_maintenance,
+    # right after that deleted every entry heard before this instant's
+    # cutoff, so every entry left is fresh.
 
     def fresh_neighbors(self) -> List[Hello]:
         """The Hellos of neighbours heard within the stale timeout, in table
@@ -139,10 +153,21 @@ class Node:
     def current_degree_entries(self) -> List[Hello]:
         """Fresh Hellos whose advertised position is within radio range."""
         cutoff = self.sim.now - self.stale_timeout_s
-        rng = self.sim.config.tx_range_m
+        rng = self.tx_range_m
         x, y = self.pos.x, self.pos.y
         return [h for h in self.neighbors.values()
                 if h.heard_at >= cutoff and hypot(x - h.sender_pos.x, y - h.sender_pos.y) <= rng]
+
+    def current_head_entries(self) -> List[Hello]:
+        """The entries of current_degree_entries() that advertise the head
+        role, in the same order: the role is tested first, so a join
+        measures only the heads."""
+        cutoff = self.sim.now - self.stale_timeout_s
+        rng = self.tx_range_m
+        x, y = self.pos.x, self.pos.y
+        return [h for h in self.neighbors.values()
+                if h.sender_role == ROLE_HEAD and h.heard_at >= cutoff
+                and hypot(x - h.sender_pos.x, y - h.sender_pos.y) <= rng]
 
     # -- weight ------------------------------------------------------------
 
@@ -153,31 +178,54 @@ class Node:
         adds the distances within range, left to right from int 0, so the
         sum is the same on every Python (the built-in sum() of floats is
         compensated from 3.12 on)."""
-        cfg = self.sim.config
         if fresh is None:
             fresh = self.fresh_neighbors()
-        x, y, rng = self.pos.x, self.pos.y, cfg.tx_range_m
+        x, y, rng = self.pos.x, self.pos.y, self.tx_range_m
         degree = dist_sum = 0
         for h in fresh:
             d = hypot(x - h.sender_pos.x, y - h.sender_pos.y)
             if d <= rng:
                 degree += 1
                 dist_sum += d
-        if cfg.p_v_mode == "energy_consumed":
+        if self.head_metric_is_energy:
             head_metric = self.energy.consumed()
         else:
             head_metric = self.ch_accum_s
             if self._ch_since is not None:
                 head_metric += self.sim.now - self._ch_since
         return WeightComponents(
-            degree_diff=degree_difference(degree, cfg.ideal_degree),
+            degree_diff=degree_difference(degree, self.ideal_degree),
             dist_sum=dist_sum,
             mobility=average_speed(self.mobility.total_distance, self.sim.now),
             head_time=head_metric,
         )
 
     def weight_now(self, fresh: Optional[List[Hello]] = None) -> float:
-        return combined_weight(self.weight_components(fresh), self.factors)
+        """The combined weight, computed in one body with no intermediate
+        object: the same operations in the same order as weights'
+        combined_weight(self.weight_components(fresh), self.factors), so the
+        same float, bit for bit (tests/test_weights.py checks it)."""
+        if fresh is None:
+            fresh = self.fresh_neighbors()
+        now = self.sim.now
+        x, y, rng = self.pos.x, self.pos.y, self.tx_range_m
+        degree = dist_sum = 0
+        for h in fresh:
+            d = hypot(x - h.sender_pos.x, y - h.sender_pos.y)
+            if d <= rng:
+                degree += 1
+                dist_sum += d
+        if self.head_metric_is_energy:
+            head_metric = self.energy.consumed()
+        else:
+            head_metric = self.ch_accum_s
+            if self._ch_since is not None:
+                head_metric += now - self._ch_since
+        f = self.factors
+        return (f.w1 * abs(degree - self.ideal_degree)
+                + f.w2 * dist_sum
+                + f.w3 * (self.mobility.total_distance / now if now > 0 else 0.0)
+                + f.w4 * head_metric)
 
     def election_weight(self, fresh: Optional[List[Hello]] = None) -> Optional[float]:
         """The weight this node stands for election with: None in cbrp."""
@@ -291,15 +339,16 @@ class Node:
         """A HELLO from this member's own head."""
         if hello.sender_role == ROLE_HEAD:
             self.secondary = hello.secondary_id
-        elif not self._join_best_head(self.current_degree_entries()):
+        elif not self._join_best_head(self.current_head_entries()):
             # Our head stepped down (lost contention) and no other head
             # is in range: reform.
             self.revert_undecided()
 
     def _join_best_head(self, entries: List[Hello]) -> bool:
-        """Join the best head among entries, other than head_id: for a
-        member, the head that stepped down; an undecided node has none.
-        True if it joined one."""
+        """Join the best head among entries (current_head_entries(), or
+        current_degree_entries()), other than head_id: for a member, the
+        head that stepped down; an undecided node has none. True if it
+        joined one."""
         heads = [e for e in entries if e.sender_role == ROLE_HEAD and e.sender_id != self.head_id]
         if not heads:
             return False
@@ -309,7 +358,7 @@ class Node:
     def _join_evaluate(self) -> None:
         self._join_eval_scheduled = False
         if self.role == ROLE_UNDECIDED:
-            self._join_best_head(self.current_degree_entries())
+            self._join_best_head(self.current_head_entries())
 
     def _join(self, entry: Hello) -> None:
         self.role = ROLE_MEMBER
@@ -365,7 +414,8 @@ class Node:
     def _reelect_secondary(self) -> None:
         if self.mode != "ecbrp":
             return
-        candidates = [e for e in self.fresh_neighbors() if e.sender_id in self.member_ids]
+        # Every entry is fresh: see the neighbour view's comment.
+        candidates = [e for e in self.neighbors.values() if e.sender_id in self.member_ids]
         if not candidates:
             self.secondary = None
             return

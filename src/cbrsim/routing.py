@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .engine import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
+from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 from .messages import DataPacket, RouteReply, RouteRequest
 
 
@@ -35,7 +35,7 @@ class RoutingState:
 def generate_packet(sim: Simulator, source_id: int, dest_id: int) -> None:
     pid = sim.new_packet()
     source = sim.nodes[source_id]
-    if not source.alive:
+    if source.role == ROLE_DEAD:
         sim.account_dropped(pid, "dead-sender")
         return
     state = source.routing
@@ -172,7 +172,7 @@ def handle_data(sim: Simulator, node, packet: DataPacket) -> None:
 def forward_data(sim: Simulator, node, packet: DataPacket) -> None:
     """Unicast the packet to the next hop on its route, or to the hop that
     recovery puts in its place, and advance the cursor past it."""
-    if not node.alive:
+    if node.role == ROLE_DEAD:
         sim.account_dropped(packet.packet_id, "dead-forwarder")
         return
     next_hop = packet.route[packet.cursor + 1]

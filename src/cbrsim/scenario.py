@@ -52,13 +52,14 @@ def build_simulation(config: ScenarioConfig,
             # The neighbour table holds alive nodes only, so it is kept unless
             # an alive node changed position. A Position is never mutated: a
             # node that moved holds a new one.
+            pause, width, height = config.pause_time_s, config.area_width_m, config.area_height_m
+            waypoints = sim.rng.waypoints
             moved = False
             for node in sim.nodes.values():
                 pos = node.pos
                 node.pos, node.mobility = mobility_step(
-                    pos, node.mobility, dt, config.pause_time_s,
-                    config.area_width_m, config.area_height_m, sim.rng.waypoints)
-                if node.pos is not pos and node.alive:
+                    pos, node.mobility, dt, pause, width, height, waypoints)
+                if node.pos is not pos and node.role != ROLE_DEAD:
                     moved = True
             if moved:
                 sim.invalidate_neighbors()

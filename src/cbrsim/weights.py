@@ -25,6 +25,9 @@ class WeightComponents:
 
 
 def combined_weight(components: WeightComponents, factors: WeightFactors) -> float:
+    """w1*degree_diff + w2*dist_sum + w3*mobility + w4*head_time, added left
+    to right. Node.weight_now computes the same expression in its own body,
+    in the same order, and must give the same float."""
     return (factors.w1 * components.degree_diff
             + factors.w2 * components.dist_sum
             + factors.w3 * components.mobility

@@ -496,16 +496,21 @@ def test_every_query_of_whole_runs_equals_brute_force_scan(monkeypatch):
 
 def test_one_sweep_serves_every_query_until_the_next_invalidation():
     sim = bare_sim()
-    for nid, x in ((0, 0.0), (1, 50.0), (2, 100.0)):
+    for nid, x in ((0, 0.0), (1, 50.0), (2, 100.0), (3, 30.0)):
         add_node(sim, nid, x, 0.0)
     sweeps = []
     sweep = sim._neighbor_table
     sim._neighbor_table = lambda: sweeps.append(sim.now) or sweep()
     sim.invalidate_neighbors()
-    assert [sim.alive_in_range(nid) for nid in sim.nodes] == [(1,), (0, 2), (1,)]
+    assert [sim.alive_in_range(nid) for nid in sim.nodes] == [
+        (1, 3), (0, 2, 3), (1, 3), (0, 1, 2)]
     assert len(sweeps) == 1
-    sim.mark_dead(1)   # invalidates; the dead node's own query returns ()
-    assert [sim.alive_in_range(nid) for nid in (2, 1, 0)] == [(), (), ()]
+    sim.mark_dead(1)   # edits the held table; the dead node's own query returns ()
+    assert [sim.alive_in_range(nid) for nid in (2, 1, 0, 3)] == [(3,), (), (3,), (0, 2)]
+    assert len(sweeps) == 1   # a death builds no table
+    assert sim._nbr_cache == sweep()   # the edited rows are a fresh build's
+    sim.invalidate_neighbors()
+    assert sim.alive_in_range(3) == (0, 2)
     assert len(sweeps) == 2
 
 
@@ -523,18 +528,19 @@ def test_a_tick_that_moves_no_alive_node_builds_no_table():
     sim.run_until(4.5)
     assert builds == [0.0]   # every node paused: ticks 1-4 build nothing
 
-    sim.mark_dead(3)
+    sim.mark_dead(3)   # edits the held table: no build
+    assert sim._nbr_cache == build()   # the edited rows are a fresh build's
     walker = sim.nodes[3]
     walker.mobility.pause_remaining, walker.mobility.waypoint = 0.0, Position(400.0, 400.0)
     start = walker.pos
     sim.run_until(8.5)
     assert walker.pos != start
-    assert builds == [0.0, 5.0]   # the death's; only the dead node moves at 6-8
+    assert builds == [0.0]   # only the dead node moves at 5-8
 
     sim.nodes[0].mobility.pause_remaining = 0.0
     sim.nodes[0].mobility.waypoint = Position(0.0, 400.0)
     sim.run_until(9.5)
-    assert builds == [0.0, 5.0, 9.0]
+    assert builds == [0.0, 9.0]
 
 
 def test_empty_simulation_yields_zero_metrics():

@@ -4,7 +4,8 @@ whole runs, meets the condition written next to it.
 
 A node leaves the undecided state only by joining a head or by winning the
 election; a head stops heading only by losing contention or by dying; only a
-member falls back to undecided. Only an alive node's table is maintained. A
+member falls back to undecided. Only an alive node's table is maintained,
+and a head re-elects its secondary from a table that holds no stale entry. A
 HELLO that names a secondary also names its cluster, and every HELLO is
 handled at the time it carries. A route request never reaches a node twice
 or a node on its recorded path, a route reply retraces its recorded path hop
@@ -43,6 +44,9 @@ INVARIANTS = (
     (Node, "_join", lambda node, entry: node.role != ROLE_HEAD),
     (Node, "revert_undecided", lambda node: node.role == ROLE_MEMBER),
     (Node, "_reelect_secondary", lambda node: node.role == ROLE_HEAD),
+    (Node, "_reelect_secondary",
+     lambda node: all(h.heard_at >= node.sim.now - node.stale_timeout_s
+                      for h in node.neighbors.values())),
     (Node, "_head_contention",
      lambda node, hello, sender_id: None if node.mode != "ecbrp"
      else node.last_advertised_weight is not None),

@@ -4,8 +4,9 @@ against an independent exact-rational oracle."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from cbrsim.engine import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED
 from cbrsim.geometry import Position, distance
 from cbrsim.weights import (WeightComponents, WeightFactors, average_speed,
                             combined_weight, degree_difference)
@@ -114,6 +115,71 @@ def test_one_pass_weight_terms_equal_the_two_pass_reference(origin, table, moved
     for c in (node.weight_components(), node.weight_components(node.fresh_neighbors())):
         assert c.degree_diff == degree_difference(degree, 3)
         assert repr(c.dist_sum) == repr(dist_sum)   # bit for bit, and int 0 when empty
+
+
+# The hot path: weight_now computes the terms and their sum in one body; it
+# must give combined_weight(weight_components()) bit for bit.
+
+factor = st.floats(0.0, 1.0)
+roles = st.sampled_from((ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED))
+
+
+@given(origin=origins, table=st.lists(st.tuples(offsets, ages), max_size=30),
+       moved=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))),
+       now=st.sampled_from((0.0, NOW)), p_v_mode=st.sampled_from(("ch_time", "energy_consumed")),
+       factors=st.tuples(factor, factor, factor, factor), ideal=st.integers(0, 6),
+       travelled=st.floats(0.0, 5000.0), spent=st.floats(0.0, 1000.0),
+       headed=st.floats(0.0, 300.0), since=st.one_of(st.none(), st.floats(0.0, NOW)))
+# Cases where the order of the additions shows: (0.1 + 0.2) + 0.3 is not
+# (0.3 + 0.2) + 0.1, 0.3 + (10 - 3.3) is not (0.3 + 10) - 3.3, and
+# (0.1 + 0.1) + 1.1 is not (0.1 + 1.1) + 0.1.
+@example(origin=(0.0, 0.0), table=[((0.1, 0.0), 0.0), ((0.2, 0.0), 0.0), ((0.3, 0.0), 0.0)],
+         moved=None, now=NOW, p_v_mode="ch_time", factors=(0.0, 1.0, 0.0, 0.0), ideal=3,
+         travelled=0.0, spent=0.0, headed=0.0, since=None)
+@example(origin=(0.0, 0.0), table=[], moved=None, now=NOW, p_v_mode="ch_time",
+         factors=(0.0, 0.0, 0.0, 1.0), ideal=0, travelled=0.0, spent=0.0, headed=0.3, since=3.3)
+@example(origin=(0.0, 0.0), table=[], moved=None, now=NOW, p_v_mode="ch_time",
+         factors=(0.1, 0.0, 1.0, 1.0), ideal=1, travelled=1.0, spent=0.0, headed=1.1, since=None)
+def test_flat_weight_equals_combined_weight_of_the_components(
+        origin, table, moved, now, p_v_mode, factors, ideal, travelled, spent, headed, since):
+    w1, w2, w3, w4 = factors
+    sim = bare_sim(p_v_mode=p_v_mode, ideal_degree=ideal, w1=w1, w2=w2, w3=w3, w4=w4)
+    sim.run_until(now)
+    ox, oy = origin
+    node = add_node(sim, 0, ox, oy)
+    for i, ((dx, dy), age) in enumerate(table, start=1):
+        add_neighbor(node, i, ox + dx, oy + dy, age=age)
+    if moved is not None:   # the node moved since it heard its neighbours
+        node.pos = Position(ox + moved[0], oy + moved[1])
+    node.mobility.total_distance = travelled
+    node.energy.remaining -= spent
+    node.ch_accum_s = headed   # the time it headed before
+    if since is not None:   # and it heads again since then
+        node._ch_since = min(since, now)
+    want = repr(combined_weight(node.weight_components(), node.factors))
+    assert repr(node.weight_now()) == want
+    for fresh in (node.fresh_neighbors(), node.current_degree_entries()):
+        assert repr(node.weight_now(fresh)) == want
+        assert repr(combined_weight(node.weight_components(fresh), node.factors)) == want
+
+
+@given(origin=origins, table=st.lists(st.tuples(offsets, ages, roles), max_size=30),
+       moved=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))),
+       head=st.integers(0, 30))
+@example(origin=(0.0, 0.0), table=[((80.0, 0.0), 3.0, ROLE_HEAD)], moved=None, head=1)
+def test_head_entries_are_the_in_range_entries_that_advertise_a_head(origin, table, moved, head):
+    sim = bare_sim()
+    sim.run_until(NOW)
+    ox, oy = origin
+    node = add_node(sim, 0, ox, oy)
+    node.head_id = head or None   # the view does not exclude the node's own head
+    for i, ((dx, dy), age, role) in enumerate(table, start=1):
+        add_neighbor(node, i, ox + dx, oy + dy, role=role, age=age)
+    if moved is not None:
+        node.pos = Position(ox + moved[0], oy + moved[1])
+    heads = [e.sender_id for e in node.current_head_entries()]
+    assert heads == [e.sender_id for e in node.current_degree_entries()
+                     if e.sender_role == ROLE_HEAD]
 
 
 def test_average_speed_is_distance_over_time():
