@@ -13,7 +13,6 @@ from .node import Node
 from .scenario import build_simulation
 from .snapshot import render_snapshot, write_snapshot
 from .traces import run_failover_trace, run_stress, stress_config
-from .weights import WeightComponents, WeightFactors, combined_weight
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "load_config_file",
@@ -25,7 +24,6 @@ __all__ = [
     "EnergyState", "MobilityState", "mobility_step", "place_nodes",
     "Node", "build_simulation", "render_snapshot", "write_snapshot",
     "run_failover_trace", "run_stress", "stress_config",
-    "WeightComponents", "WeightFactors", "combined_weight",
 ]
 
 __version__ = "0.1.0"

@@ -23,16 +23,12 @@ class EnergyState:
     initial: float
     transmit_cost: float
 
-    @property
-    def depleted(self) -> bool:
-        return self.remaining <= 0.0
-
     def consumed(self) -> float:
         return self.initial - self.remaining
 
     def charge(self, cost: float) -> bool:
         """Pay for one transmission; the remainder clamps at zero. True when
-        the battery is now empty, as `depleted` would then say."""
+        the battery is now empty."""
         remaining = self.remaining - cost
         if remaining > 0.0:
             self.remaining = remaining

@@ -41,9 +41,9 @@ What a node hears right now comes from the one neighbour view: the fresh
 entries (fresh_neighbors, iter_fresh_neighbors), those within range
 (current_degree_entries), and those within range that advertise the head
 role (current_head_entries), which the joins read. Before each HELLO,
-weight_now computes the weight's terms and their sum in its own body, with
-no intermediate object; combined_weight(weight_components()) gives the
-same float, and the tests and the acceptance oracle read the terms there.
+weight_now computes the election weight, its four terms and their sum, in
+its own body; it is the one place the weight is computed, and the tests and
+the acceptance oracle check it against their own references.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 from .geometry import Position
 from .messages import DataPacket, Hello, RouteReply, RouteRequest, SecondaryAnnounce
 from .mobility import EnergyState, MobilityState
-from .weights import WeightComponents, WeightFactors, average_speed, degree_difference
 
 # Message type -> name of the Node method that handles it, called as
 # method(message, sender_id), for every type but Hello, which handle_message
@@ -92,7 +91,7 @@ class Node:
         self.energy = energy
         cfg = sim.config
         self.mode = cfg.protocol_mode
-        self.factors = WeightFactors(cfg.w1, cfg.w2, cfg.w3, cfg.w4)
+        self.w1, self.w2, self.w3, self.w4 = cfg.w1, cfg.w2, cfg.w3, cfg.w4
         self.stale_timeout_s = cfg.stale_timeout_s()
         self.tx_range_m = cfg.tx_range_m
         self.ideal_degree = cfg.ideal_degree
@@ -171,40 +170,17 @@ class Node:
 
     # -- weight ------------------------------------------------------------
 
-    def weight_components(self, fresh: Optional[List[Hello]] = None) -> WeightComponents:
-        """The weight's terms; `fresh` is this instant's fresh_neighbors(),
-        or current_degree_entries(), when the caller already has it. Each
+    def weight_now(self, fresh: Optional[List[Hello]] = None) -> float:
+        """The WCA election weight; lower is a better head candidate. It is
+        w1 * |degree - ideal_degree| + w2 * the distance sum + w3 * the
+        average speed since t = 0 (0 before the clock starts) + w4 * the
+        head metric (time spent heading, or energy consumed), added left to
+        right. `fresh` is this instant's fresh_neighbors(), or
+        current_degree_entries(), when the caller already has it. Each
         neighbour is measured once: the degree counts and the distance sum
         adds the distances within range, left to right from int 0, so the
         sum is the same on every Python (the built-in sum() of floats is
         compensated from 3.12 on)."""
-        if fresh is None:
-            fresh = self.fresh_neighbors()
-        x, y, rng = self.pos.x, self.pos.y, self.tx_range_m
-        degree = dist_sum = 0
-        for h in fresh:
-            d = hypot(x - h.sender_pos.x, y - h.sender_pos.y)
-            if d <= rng:
-                degree += 1
-                dist_sum += d
-        if self.head_metric_is_energy:
-            head_metric = self.energy.consumed()
-        else:
-            head_metric = self.ch_accum_s
-            if self._ch_since is not None:
-                head_metric += self.sim.now - self._ch_since
-        return WeightComponents(
-            degree_diff=degree_difference(degree, self.ideal_degree),
-            dist_sum=dist_sum,
-            mobility=average_speed(self.mobility.total_distance, self.sim.now),
-            head_time=head_metric,
-        )
-
-    def weight_now(self, fresh: Optional[List[Hello]] = None) -> float:
-        """The combined weight, computed in one body with no intermediate
-        object: the same operations in the same order as weights'
-        combined_weight(self.weight_components(fresh), self.factors), so the
-        same float, bit for bit (tests/test_weights.py checks it)."""
         if fresh is None:
             fresh = self.fresh_neighbors()
         now = self.sim.now
@@ -221,11 +197,10 @@ class Node:
             head_metric = self.ch_accum_s
             if self._ch_since is not None:
                 head_metric += now - self._ch_since
-        f = self.factors
-        return (f.w1 * abs(degree - self.ideal_degree)
-                + f.w2 * dist_sum
-                + f.w3 * (self.mobility.total_distance / now if now > 0 else 0.0)
-                + f.w4 * head_metric)
+        return (self.w1 * abs(degree - self.ideal_degree)
+                + self.w2 * dist_sum
+                + self.w3 * (self.mobility.total_distance / now if now > 0 else 0.0)
+                + self.w4 * head_metric)
 
     def election_weight(self, fresh: Optional[List[Hello]] = None) -> Optional[float]:
         """The weight this node stands for election with: None in cbrp."""

@@ -35,17 +35,25 @@ SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 TOP = 15
 
 
-def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
-    """Run one pass of each named workload in the checkout at root under
-    sys.setprofile; runs in the subprocess, with root as its working
-    directory."""
+def import_checkout(root: Path, tool: str):
+    """Import cbrsim and perfbench/workloads.py from the checkout at root,
+    ahead of any other copy on sys.path, and return the workloads module;
+    exit with an error that names `tool` if cbrsim came from elsewhere."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import cbrsim
     import workloads
 
     if not Path(cbrsim.__file__).resolve().is_relative_to(root / "src"):
-        raise SystemExit(f"call_counts: cbrsim was imported from {cbrsim.__file__}, "
+        raise SystemExit(f"{tool}: cbrsim was imported from {cbrsim.__file__}, "
                          f"not from {root / 'src'}")
+    return workloads
+
+
+def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
+    """Run one pass of each named workload in the checkout at root under
+    sys.setprofile; runs in the subprocess, with root as its working
+    directory."""
+    workloads = import_checkout(root, "call_counts")
 
     def name_of(code) -> str:
         path = Path(code.co_filename)
@@ -87,12 +95,14 @@ def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
     return results
 
 
-def run_checkout(checkout: Path, names: List[str], seed: int, tiny: bool) -> dict:
-    """measure() in a subprocess whose working directory is the checkout;
-    its parsed last line of output."""
+def run_checkout(checkout: Path, names: List[str], seed: int, tiny: bool,
+                 tool: str = "call_counts") -> dict:
+    """The measure() of the module `tool` in this directory, run in a
+    subprocess whose working directory is the checkout; its parsed last
+    line of output."""
     code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            f"import call_counts; from pathlib import Path; "
-            f"print(json.dumps(call_counts.measure(Path.cwd(), {names!r}, {seed}, {tiny})))")
+            f"import {tool}; from pathlib import Path; "
+            f"print(json.dumps({tool}.measure(Path.cwd(), {names!r}, {seed}, {tiny})))")
     proc = subprocess.run([sys.executable, "-c", code], cwd=checkout.resolve(),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -16,7 +16,8 @@ peak holds at most the run that just ended, alive through its reference
 cycles, and the one running, as a benchmark pass does when the cyclic GC
 has not yet run.
 
-Standard library only; it does not import cbrsim itself, so it measures any
+Standard library only, with call_counts.py beside it for the checkout's
+import and subprocess; it does not import cbrsim itself, so it measures any
 source tree with its own perfbench/.
 """
 
@@ -25,11 +26,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 from typing import List
+
+from call_counts import import_checkout, run_checkout
 
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 MB = 1e6
@@ -39,13 +41,7 @@ TOP_SITES = 5
 def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
     """Run one pass of each named workload in the checkout at root under
     tracemalloc; runs in the subprocess, with root as its working directory."""
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import cbrsim
-    import workloads
-
-    if not Path(cbrsim.__file__).resolve().is_relative_to(root / "src"):
-        raise SystemExit(f"live_bytes: cbrsim was imported from {cbrsim.__file__}, "
-                         f"not from {root / 'src'}")
+    workloads = import_checkout(root, "live_bytes")
     inspect_run = workloads.inspect_run
 
     def site(stat) -> str:
@@ -86,17 +82,6 @@ def measure(root: Path, names: List[str], seed: int, tiny: bool) -> dict:
     return results
 
 
-def run_checkout(checkout: Path, names: List[str], seed: int, tiny: bool) -> dict:
-    """measure() in a subprocess whose working directory is the checkout;
-    its parsed last line of output."""
-    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            f"import live_bytes; from pathlib import Path; "
-            f"print(json.dumps(live_bytes.measure(Path.cwd(), {names!r}, {seed}, {tiny})))")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout.resolve(),
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
 def report(name: str, result: dict) -> List[str]:
     lines = [f"  {name}:"]
     lines += [f"    {label}: {live / MB:.2f} MB live at its end" for label, live in result["runs"]]
@@ -123,7 +108,7 @@ def main(argv=None) -> int:
     names = args.workload.split(",")
     failed = False
     for checkout in args.checkouts:
-        results = run_checkout(checkout, names, args.seed, args.size == "tiny")
+        results = run_checkout(checkout, names, args.seed, args.size == "tiny", "live_bytes")
         print(f"{checkout} seed {args.seed} size {args.size}:")
         for name in names:
             print("\n".join(report(name, results[name])))

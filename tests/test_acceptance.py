@@ -10,9 +10,8 @@ from cbrsim import (ROLE_HEAD, ROLE_MEMBER, ScenarioConfig,
                     run_failover_trace, run_stress, sweep, sweep_to_csv)
 from cbrsim.geometry import distance
 from cbrsim.scenario import build_simulation
-from cbrsim.weights import WeightComponents, WeightFactors, combined_weight
 
-from test_weights import oracle_weight
+from test_weights import PAPER_FACTORS, node_with_terms, oracle_weight, random_node
 
 SWEEP_COUNTS = (5, 10, 20, 30, 40, 50, 60)
 SWEEP_REPLICATES = 5
@@ -68,18 +67,14 @@ def test_criterion_1_delivery_ratio_sweep(sweep_runs):
 
 
 def test_criterion_2_weight_oracle_equivalence():
-    factors = WeightFactors(0.7, 0.2, 0.05, 0.05)
-    hand_ok = (combined_weight(WeightComponents(0, 70, 0, 0), factors) == 14.0
-               and combined_weight(WeightComponents(1, 0, 0, 0), factors) == 0.7)
+    hand_ok = (node_with_terms(0, 70.0, 0.0, 0.0, PAPER_FACTORS).weight_now() == 14.0
+               and node_with_terms(1, 0.0, 0.0, 0.0, PAPER_FACTORS).weight_now() == 0.7)
     rng = random.Random(424242)
     worst = 0.0
     for _ in range(1000):
-        c = WeightComponents(rng.uniform(0, 10), rng.uniform(0, 500),
-                             rng.uniform(0, 30), rng.uniform(0, 300))
-        f = WeightFactors(rng.uniform(0, 1), rng.uniform(0, 1),
-                          rng.uniform(0, 1), rng.uniform(0, 1))
-        want = oracle_weight(c, f)
-        rel = abs(combined_weight(c, f) - want) / max(1.0, abs(want))
+        node = random_node(rng)
+        want = oracle_weight(node)
+        rel = abs(node.weight_now() - want) / max(1.0, abs(want))
         worst = max(worst, rel)
     ok = hand_ok and worst <= 1e-12
     _report(2, "election weight matches exact-arithmetic oracle", ok,

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from cbrsim.geometry import Position, distance
 from cbrsim.mobility import (EnergyState, MobilityState, mobility_step, place_nodes,
                              random_waypoint)
-from cbrsim.weights import average_speed
 
 
 def in_bounds(p, width=400.0, height=400.0):
@@ -71,11 +70,11 @@ def test_arrival_snaps_to_waypoint_and_starts_pause():
 def test_pausing_lowers_average_speed():
     state = MobilityState(waypoint=Position(0, 0), speed=20.0,
                           pause_remaining=50.0, total_distance=200.0)
-    before = average_speed(state.total_distance, 10.0)
+    before = state.total_distance / 10.0   # the running average speed at t = 10 s
     pos, state = mobility_step(Position(0, 0), state, 1.0, 100.0, 400, 400,
                                random.Random(1))
     assert state.total_distance == 200.0        # stationary: zero distance added
-    assert average_speed(state.total_distance, 11.0) < before
+    assert state.total_distance / 11.0 < before
 
 
 def test_pause_expiry_draws_fresh_waypoint():
@@ -115,24 +114,21 @@ def test_walk_never_leaves_arena_and_odometer_is_monotone(seed, steps, speed, pa
 def test_three_transmissions_cost_three_units():
     e = EnergyState(remaining=100.0, initial=100.0, transmit_cost=1.0)
     for _ in range(3):
-        e.charge(e.transmit_cost)
+        assert e.charge(e.transmit_cost) is False
     assert e.remaining == 97.0
     assert e.consumed() == 3.0
-    assert not e.depleted
 
 
 def test_exact_depletion():
     e = EnergyState(remaining=1.0, initial=100.0, transmit_cost=1.0)
-    e.charge(e.transmit_cost)
+    assert e.charge(e.transmit_cost)
     assert e.remaining == 0.0
-    assert e.depleted
 
 
 def test_underflow_clamps_to_zero():
     e = EnergyState(remaining=0.5, initial=100.0, transmit_cost=1.0)
-    e.charge(e.transmit_cost)
+    assert e.charge(e.transmit_cost)
     assert e.remaining == 0.0
-    assert e.depleted
 
 
 @pytest.mark.parametrize("remaining, cost, empty", [
@@ -146,5 +142,5 @@ def test_underflow_clamps_to_zero():
 def test_charge_returns_whether_the_battery_is_now_empty(remaining, cost, empty):
     e = EnergyState(remaining=remaining, initial=100.0, transmit_cost=cost)
     assert e.charge(cost) is empty
-    assert e.depleted is empty
+    assert (e.remaining == 0.0) is empty
     assert e.remaining == (0.0 if empty else remaining - cost)

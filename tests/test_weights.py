@@ -1,5 +1,6 @@
-"""Election weight: component extraction and the combined metric, checked
-against an independent exact-rational oracle."""
+"""Election weight: Node.weight_now, the one place a run computes it, checked
+against an independent exact-rational oracle, a two-pass reference for its
+neighbour terms, and a float reference it must match bit for bit."""
 
 import random
 from fractions import Fraction
@@ -8,21 +9,73 @@ from hypothesis import example, given, strategies as st
 
 from cbrsim.engine import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED
 from cbrsim.geometry import Position, distance
-from cbrsim.weights import (WeightComponents, WeightFactors, average_speed,
-                            combined_weight, degree_difference)
 
 from conftest import add_neighbor, add_node, bare_sim
 
-PAPER_FACTORS = WeightFactors(0.7, 0.2, 0.05, 0.05)
+PAPER_FACTORS = (0.7, 0.2, 0.05, 0.05)
 
 
-def oracle_weight(components, factors):
-    """Independent evaluation in exact rational arithmetic, rounded once."""
-    total = (Fraction(factors.w1) * Fraction(components.degree_diff)
-             + Fraction(factors.w2) * Fraction(components.dist_sum)
-             + Fraction(factors.w3) * Fraction(components.mobility)
-             + Fraction(factors.w4) * Fraction(components.head_time))
-    return float(total)
+def weighed_node(*, now=0.0, factors=PAPER_FACTORS, ideal=2, p_v_mode="ch_time",
+                 origin=(0.0, 0.0), table=(), moved=None, travelled=0.0, spent=0.0,
+                 headed=0.0, since=None, **overrides):
+    """Node 0 at `origin` at time `now`, weighing with `factors` (w1..w4):
+    for each (offset, age) of `table` it heard a neighbour at origin + offset
+    `age` seconds ago, and then it moved by `moved`. It has travelled
+    `travelled` metres, spent `spent` energy, and headed `headed` seconds
+    before heading again since `since`."""
+    w1, w2, w3, w4 = factors
+    sim = bare_sim(p_v_mode=p_v_mode, ideal_degree=ideal, w1=w1, w2=w2, w3=w3, w4=w4,
+                   **overrides)
+    sim.run_until(now)
+    ox, oy = origin
+    node = add_node(sim, 0, ox, oy)
+    for i, ((dx, dy), age) in enumerate(table, start=1):
+        add_neighbor(node, i, ox + dx, oy + dy, age=age)
+    if moved is not None:   # the node moved since it heard its neighbours
+        node.pos = Position(ox + moved[0], oy + moved[1])
+    node.mobility.total_distance = travelled
+    node.energy.remaining -= spent
+    node.ch_accum_s = headed   # the time it headed before
+    if since is not None:   # and it heads again since then
+        node._ch_since = min(since, now)
+    return node
+
+
+def node_with_terms(degree_diff, dist_sum, mobility, head_time, factors):
+    """A node whose four weight terms are exactly these, at t = 1 s: one
+    neighbour dist_sum metres away and within range, an ideal degree of
+    1 + degree_diff, and no heading since."""
+    return weighed_node(now=1.0, factors=factors, ideal=1 + degree_diff,
+                        table=[((dist_sum, 0.0), 0.0)], travelled=mobility,
+                        headed=head_time, tx_range_m=max(1.0, dist_sum))
+
+
+def random_node(rng):
+    """A node in a random state drawn from rng: up to 12 neighbours, some
+    out of range or stale, and either head metric."""
+    now = rng.uniform(1.0, 600.0)
+    table = [((rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0)), rng.uniform(0.0, 6.0))
+             for _ in range(rng.randint(0, 12))]
+    return weighed_node(
+        now=now, factors=tuple(rng.uniform(0, 1) for _ in range(4)), ideal=rng.randint(0, 10),
+        p_v_mode=rng.choice(("ch_time", "energy_consumed")),
+        origin=(rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)), table=table,
+        travelled=rng.uniform(0.0, 30.0) * now, spent=rng.uniform(0.0, 300.0),
+        headed=rng.uniform(0.0, 300.0),
+        since=rng.uniform(0.0, now) if rng.random() < 0.5 else None)
+
+
+def terms(node, fresh=None):
+    """weight_now's four terms, each read by weighing with its factor 1 and
+    the others 0: the sum 1.0 * t + 0.0 + 0.0 + 0.0 is t exactly."""
+    kept = node.w1, node.w2, node.w3, node.w4
+    found = []
+    for unit in ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                 (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
+        node.w1, node.w2, node.w3, node.w4 = unit
+        found.append(node.weight_now(fresh))
+    node.w1, node.w2, node.w3, node.w4 = kept
+    return tuple(found)
 
 
 # -- degree -----------------------------------------------------------------
@@ -51,9 +104,9 @@ def test_clique_degree():
 
 
 def test_degree_difference_is_absolute():
-    assert degree_difference(5, 2) == 3
-    assert degree_difference(0, 2) == 2
-    assert degree_difference(2, 2) == 0
+    for degree, ideal, diff in ((5, 2, 3), (0, 2, 2), (2, 2, 0)):
+        node = weighed_node(ideal=ideal, table=[((float(i), 0.0), 0.0) for i in range(degree)])
+        assert terms(node)[0] == diff
 
 
 # -- components -------------------------------------------------------------
@@ -63,8 +116,7 @@ def test_isolated_stationary_node_has_all_zero_components():
     node = add_node(sim, 0, 0.0, 0.0)
     sim.schedule(5.0, "advance", lambda: None)
     sim.run_until(5.0)
-    c = node.weight_components()
-    assert (c.degree_diff, c.dist_sum, c.mobility, c.head_time) == (0, 0, 0, 0)
+    assert terms(node) == (0, 0, 0, 0)
 
 
 def test_two_neighbor_component_vector():
@@ -72,8 +124,7 @@ def test_two_neighbor_component_vector():
     node = add_node(sim, 0, 0.0, 0.0)
     add_neighbor(node, 1, 30.0, 0.0)
     add_neighbor(node, 2, 0.0, 40.0)
-    c = node.weight_components()
-    assert (c.degree_diff, c.dist_sum, c.mobility, c.head_time) == (0, 70.0, 0, 0)
+    assert terms(node) == (0, 70.0, 0, 0)
 
 
 # The reference weight terms: filter the fresh entries by range, then measure
@@ -112,13 +163,48 @@ def test_one_pass_weight_terms_equal_the_two_pass_reference(origin, table, moved
         node.pos = Position(ox + moved[0], oy + moved[1])
     entries, degree, dist_sum = reference_degree_and_dist_sum(node)
     assert node.current_degree_entries() == entries
-    for c in (node.weight_components(), node.weight_components(node.fresh_neighbors())):
-        assert c.degree_diff == degree_difference(degree, 3)
-        assert repr(c.dist_sum) == repr(dist_sum)   # bit for bit, and int 0 when empty
+    for fresh in (None, node.fresh_neighbors(), entries):
+        degree_term, dist_term = terms(node, fresh)[:2]
+        assert degree_term == abs(degree - 3)
+        assert repr(dist_term) == repr(float(dist_sum))   # bit for bit
 
 
-# The hot path: weight_now computes the terms and their sum in one body; it
-# must give combined_weight(weight_components()) bit for bit.
+def float_reference(node):
+    """The weight in floats from the two-pass terms, added left to right."""
+    cfg, now = node.sim.config, node.sim.now
+    _, degree, dist_sum = reference_degree_and_dist_sum(node)
+    if cfg.p_v_mode == "energy_consumed":
+        head = node.energy.initial - node.energy.remaining
+    elif node._ch_since is None:
+        head = node.ch_accum_s
+    else:
+        head = node.ch_accum_s + (now - node._ch_since)
+    mobility = node.mobility.total_distance / now if now > 0 else 0.0
+    return (cfg.w1 * abs(degree - cfg.ideal_degree) + cfg.w2 * dist_sum
+            + cfg.w3 * mobility + cfg.w4 * head)
+
+
+def oracle_weight(node):
+    """Independent evaluation of the node's weight from its state, in exact
+    rational arithmetic rounded once: only each distance is a float."""
+    cfg, now = node.sim.config, Fraction(node.sim.now)
+    entries, degree, _ = reference_degree_and_dist_sum(node)
+    dist_sum = sum(Fraction(distance(node.pos, h.sender_pos)) for h in entries)
+    mobility = Fraction(node.mobility.total_distance) / now if now > 0 else 0
+    if cfg.p_v_mode == "energy_consumed":
+        head = Fraction(node.energy.initial) - Fraction(node.energy.remaining)
+    else:
+        head = Fraction(node.ch_accum_s)
+        if node._ch_since is not None:
+            head += now - Fraction(node._ch_since)
+    return float(Fraction(cfg.w1) * abs(degree - cfg.ideal_degree)
+                 + Fraction(cfg.w2) * dist_sum
+                 + Fraction(cfg.w3) * mobility
+                 + Fraction(cfg.w4) * head)
+
+
+# weight_now computes the terms and their sum in one body; it must give the
+# float reference bit for bit, whichever view of the table it is handed.
 
 factor = st.floats(0.0, 1.0)
 roles = st.sampled_from((ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED))
@@ -140,27 +226,14 @@ roles = st.sampled_from((ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED))
          factors=(0.0, 0.0, 0.0, 1.0), ideal=0, travelled=0.0, spent=0.0, headed=0.3, since=3.3)
 @example(origin=(0.0, 0.0), table=[], moved=None, now=NOW, p_v_mode="ch_time",
          factors=(0.1, 0.0, 1.0, 1.0), ideal=1, travelled=1.0, spent=0.0, headed=1.1, since=None)
-def test_flat_weight_equals_combined_weight_of_the_components(
+def test_weight_now_equals_the_float_reference(
         origin, table, moved, now, p_v_mode, factors, ideal, travelled, spent, headed, since):
-    w1, w2, w3, w4 = factors
-    sim = bare_sim(p_v_mode=p_v_mode, ideal_degree=ideal, w1=w1, w2=w2, w3=w3, w4=w4)
-    sim.run_until(now)
-    ox, oy = origin
-    node = add_node(sim, 0, ox, oy)
-    for i, ((dx, dy), age) in enumerate(table, start=1):
-        add_neighbor(node, i, ox + dx, oy + dy, age=age)
-    if moved is not None:   # the node moved since it heard its neighbours
-        node.pos = Position(ox + moved[0], oy + moved[1])
-    node.mobility.total_distance = travelled
-    node.energy.remaining -= spent
-    node.ch_accum_s = headed   # the time it headed before
-    if since is not None:   # and it heads again since then
-        node._ch_since = min(since, now)
-    want = repr(combined_weight(node.weight_components(), node.factors))
-    assert repr(node.weight_now()) == want
-    for fresh in (node.fresh_neighbors(), node.current_degree_entries()):
+    node = weighed_node(now=now, factors=factors, ideal=ideal, p_v_mode=p_v_mode,
+                        origin=origin, table=table, moved=moved, travelled=travelled,
+                        spent=spent, headed=headed, since=since)
+    want = repr(float_reference(node))
+    for fresh in (None, node.fresh_neighbors(), node.current_degree_entries()):
         assert repr(node.weight_now(fresh)) == want
-        assert repr(combined_weight(node.weight_components(fresh), node.factors)) == want
 
 
 @given(origin=origins, table=st.lists(st.tuples(offsets, ages, roles), max_size=30),
@@ -183,9 +256,9 @@ def test_head_entries_are_the_in_range_entries_that_advertise_a_head(origin, tab
 
 
 def test_average_speed_is_distance_over_time():
-    assert average_speed(200.0, 10.0) == 20.0
-    assert average_speed(0.0, 10.0) == 0.0
-    assert average_speed(50.0, 0.0) == 0.0  # before the clock starts
+    assert terms(weighed_node(now=10.0, travelled=200.0))[2] == 20.0
+    assert terms(weighed_node(now=10.0, travelled=0.0))[2] == 0.0
+    assert terms(weighed_node(now=0.0, travelled=50.0))[2] == 0.0  # before the clock starts
 
 
 def test_head_time_accumulates_while_heading():
@@ -194,7 +267,7 @@ def test_head_time_accumulates_while_heading():
     node.become_head()
     sim.schedule(7.0, "advance", lambda: None)
     sim.run_until(7.0)
-    assert node.weight_components().head_time == 7.0
+    assert terms(node)[3] == 7.0
 
 
 def test_energy_consumed_mode_tracks_battery():
@@ -202,58 +275,54 @@ def test_energy_consumed_mode_tracks_battery():
     node = add_node(sim, 0, 0.0, 0.0)
     sim.broadcast(0, object())
     sim.broadcast(0, object())
-    assert node.weight_components().head_time == 2.0
+    assert terms(node)[3] == 2.0
 
 
 # -- combined metric --------------------------------------------------------
 
 def test_hand_value_distance_only():
-    assert combined_weight(WeightComponents(0, 70, 0, 0), PAPER_FACTORS) == 14.0
+    assert node_with_terms(0, 70.0, 0.0, 0.0, PAPER_FACTORS).weight_now() == 14.0
 
 
 def test_hand_value_degree_only():
-    assert combined_weight(WeightComponents(1, 0, 0, 0), PAPER_FACTORS) == 0.7
+    assert node_with_terms(1, 0.0, 0.0, 0.0, PAPER_FACTORS).weight_now() == 0.7
 
 
 def test_all_zero_components_give_zero():
-    assert combined_weight(WeightComponents(0, 0, 0, 0), PAPER_FACTORS) == 0.0
+    assert node_with_terms(0, 0.0, 0.0, 0.0, PAPER_FACTORS).weight_now() == 0.0
 
 
-def test_thousand_tuples_match_exact_oracle():
+def test_thousand_random_nodes_match_exact_oracle():
     rng = random.Random(20260823)
     for _ in range(1000):
-        c = WeightComponents(rng.uniform(0, 10), rng.uniform(0, 500),
-                             rng.uniform(0, 30), rng.uniform(0, 300))
-        f = WeightFactors(rng.uniform(0, 1), rng.uniform(0, 1),
-                          rng.uniform(0, 1), rng.uniform(0, 1))
-        got = combined_weight(c, f)
-        want = oracle_weight(c, f)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        node = random_node(rng)
+        want = oracle_weight(node)
+        assert abs(node.weight_now() - want) <= 1e-12 * max(1.0, abs(want))
 
 
 finite = st.floats(min_value=0.0, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
+degree_diffs = st.integers(0, 10**6)
 
 
-@given(c=st.tuples(finite, finite, finite, finite),
+@given(c=st.tuples(degree_diffs, finite, finite, finite),
        f=st.tuples(finite, finite, finite, finite),
        bump=st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
 def test_weight_is_monotone_in_each_component(c, f, bump):
-    factors = WeightFactors(*f)
-    base = combined_weight(WeightComponents(*c), factors)
+    base = node_with_terms(*c, f).weight_now()
     assert base >= 0.0
     for i in range(4):
         raised = list(c)
-        raised[i] += bump
-        assert combined_weight(WeightComponents(*raised), factors) >= base
+        raised[i] += round(bump) if i == 0 else bump
+        assert node_with_terms(*raised, f).weight_now() >= base
 
 
-@given(c=st.tuples(finite, finite, finite, finite),
+@given(c=st.tuples(degree_diffs, finite, finite, finite),
        scale=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
 def test_scaling_all_factors_preserves_ranking(c, scale):
-    a = WeightComponents(*c)
-    b = WeightComponents(c[0] + 1.0, c[1], c[2], c[3])
     f = PAPER_FACTORS
-    g = WeightFactors(f.w1 * scale, f.w2 * scale, f.w3 * scale, f.w4 * scale)
-    assert combined_weight(a, f) < combined_weight(b, f)
-    assert combined_weight(a, g) < combined_weight(b, g)
+    g = tuple(w * scale for w in f)
+    for factors in (f, g):
+        a = node_with_terms(*c, factors)
+        b = node_with_terms(c[0] + 1, *c[1:], factors)
+        assert a.weight_now() < b.weight_now()
