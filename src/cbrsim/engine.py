@@ -8,7 +8,11 @@ trace and identical metrics.
 Events wait on one heap of (fire_time, seq, fn) tuples; seq is unique and
 increasing, so ties in time fire in scheduling order and two callbacks are
 never compared. Nothing takes an event off the heap: a callback that may
-have been superseded checks that itself when it runs, and returns.
+have been superseded checks that itself when it runs, and returns. Each fn
+is plain data: a bound method of the run's own objects, or a
+functools.partial of one, or of a module-level function, over them; never a
+closure or a lambda. So a running Simulator deep-copies and pickles, and the
+copy and the original each run on to the trace of an unforked run.
 
 Transmissions due at the same instant share one "deliver" event while
 nothing else is scheduled between them: each hands its message to its
@@ -271,11 +275,11 @@ class Simulator:
 
     def force_kill(self, node_id: int, at: float) -> None:
         """Scripted death: energy zeroed and node silenced at the given time."""
-        def kill():
-            node = self.nodes[node_id]
-            node.energy.remaining = 0.0
-            self.mark_dead(node_id)
-        self.schedule(at, "kill", kill)
+        self.schedule(at, "kill", partial(self._kill, node_id))
+
+    def _kill(self, node_id: int) -> None:
+        self.nodes[node_id].energy.remaining = 0.0
+        self.mark_dead(node_id)
 
     # -- data-packet accounting (conservation enforced structurally) -------
 

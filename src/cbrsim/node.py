@@ -29,9 +29,11 @@ stops heading. tests/test_invariants.py checks these on every call over
 whole runs.
 
 The only clustering timer a node holds is its undecided timer, first armed
-by the scenario's startup event. It stays on the queue: re-arming supersedes
-the armed one, which then returns when due, and on_undecided_timeout
-returns unless the node is undecided. A node sends a HELLO when
+by the scenario's startup event. Each arming numbers the timer one past the
+one before, and its event carries that number, not a closure: re-arming
+supersedes the armed timer, which stays on the queue and returns when due,
+as its number is no longer the node's newest. on_undecided_timeout returns
+unless the node is undecided. A node sends a HELLO when
 the scenario's HELLO round (once at startup, then one event per
 hello_interval_s for all nodes) calls send_hello, and maintains its table
 when the scenario's maintenance tick calls table_maintenance; both skip a
@@ -48,6 +50,7 @@ the acceptance oracle check it against their own references.
 
 from __future__ import annotations
 
+from functools import partial
 from math import hypot
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -57,15 +60,14 @@ from .geometry import Position
 from .messages import DataPacket, Hello, RouteReply, RouteRequest, SecondaryAnnounce
 from .mobility import EnergyState, MobilityState
 
-# Message type -> name of the Node method that handles it, called as
-# method(message, sender_id), for every type but Hello, which handle_message
-# tests first and hands straight to on_hello. Looked up on the node at each
-# call, so a method patched on the class or the instance is the one that runs.
-_HANDLERS = {
-    SecondaryAnnounce: "on_secondary_announce",
-    RouteRequest: "_on_rreq",
-    RouteReply: "_on_rrep",
-    DataPacket: "_on_data",
+# Routing message type -> name of the routing function that handles it,
+# called as function(sim, node, message). Looked up on the module at each
+# call, so a patched routing.handle_* is the one that runs. handle_message
+# hands a Hello and a SecondaryAnnounce to this node's own methods.
+_ROUTING_HANDLERS = {
+    RouteRequest: "handle_rreq",
+    RouteReply: "handle_rrep",
+    DataPacket: "handle_data",
 }
 
 
@@ -109,7 +111,7 @@ class Node:
 
         self.ch_accum_s = 0.0
         self._ch_since: Optional[float] = None
-        self._undecided_timer = None
+        self._undecided_timer = 0   # number of the newest timer armed; 0: none
         self._join_eval_scheduled = False
         self._last_secondary_announce = -1e9
         self._last_undecided_reply = -1e9
@@ -209,14 +211,16 @@ class Node:
     # -- timers ------------------------------------------------------------
 
     def _restart_undecided_timer(self) -> None:
-        """Arm the undecided timer. It calls on_undecided_timeout only if it
-        is still the newest one armed; an older one returns when due."""
-        def fire() -> None:
-            if self._undecided_timer is fire:
-                self.on_undecided_timeout()
-        self._undecided_timer = fire
-        self.sim.schedule(self.sim.now + self.sim.config.undecided_timer_s(),
-                          "undecided-timeout", fire)
+        """Arm the undecided timer, numbered one past the timer armed before
+        it. It calls on_undecided_timeout only if it is still the newest one
+        armed; an older one returns when due."""
+        self._undecided_timer += 1
+        self.sim.schedule(self.sim.now + self.sim.config.undecided_timer_s(), "undecided-timeout",
+                          partial(self._undecided_timer_due, self._undecided_timer))
+
+    def _undecided_timer_due(self, number: int) -> None:
+        if number == self._undecided_timer:
+            self.on_undecided_timeout()
 
     def build_hello(self) -> Hello:
         # Weight is recomputed immediately before every broadcast.
@@ -235,27 +239,18 @@ class Node:
     # -- message dispatch --------------------------------------------------
 
     def handle_message(self, message, sender_id: int) -> None:
-        if type(message) is Hello:   # most receptions: skip the table
+        kind = type(message)
+        if kind is Hello:   # most receptions: skip the table
             self.on_hello(message, sender_id)
-            return
-        try:
-            name = _HANDLERS[type(message)]
-        except KeyError:
-            raise TypeError(f"node {self.node_id} cannot handle a message of type "
-                            f"{type(message).__name__}") from None
-        getattr(self, name)(message, sender_id)
-
-    # Routing handlers are looked up on the module at each call, so a
-    # patched routing.handle_* is the one that runs.
-
-    def _on_rreq(self, rreq: RouteRequest, sender_id: int) -> None:
-        routing.handle_rreq(self.sim, self, rreq)
-
-    def _on_rrep(self, rrep: RouteReply, sender_id: int) -> None:
-        routing.handle_rrep(self.sim, self, rrep)
-
-    def _on_data(self, packet: DataPacket, sender_id: int) -> None:
-        routing.handle_data(self.sim, self, packet)
+        elif kind is SecondaryAnnounce:
+            self.on_secondary_announce(message)
+        else:
+            try:
+                name = _ROUTING_HANDLERS[kind]
+            except KeyError:
+                raise TypeError(f"node {self.node_id} cannot handle a message of type "
+                                f"{kind.__name__}") from None
+            getattr(routing, name)(self.sim, self, message)
 
     # -- HELLO processing --------------------------------------------------
 
@@ -381,7 +376,7 @@ class Node:
 
     # -- secondary head (ECBRP) -------------------------------------------
 
-    def on_secondary_announce(self, msg: SecondaryAnnounce, sender_id: int) -> None:
+    def on_secondary_announce(self, msg: SecondaryAnnounce) -> None:
         self.known_secondaries[msg.head_id] = msg.secondary_id
         if self.role == ROLE_MEMBER and self.head_id == msg.head_id:
             self.secondary = msg.secondary_id

@@ -6,6 +6,7 @@ error-recovery policies (salvage vs. secondary-head substitution).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
@@ -57,13 +58,8 @@ def initiate_discovery(sim: Simulator, node, dest_id: int) -> None:
         # Not clustered yet: defer one HELLO interval and try again.
         pending = _Pending(dest_id, seq=None)
         state.pending[dest_id] = pending
-
-        def retry_deferred():
-            if state.pending.get(dest_id) is pending:
-                del state.pending[dest_id]
-                if node.alive:
-                    initiate_discovery(sim, node, dest_id)
-        sim.schedule(sim.now + sim.config.hello_interval_s, "discovery-deferred", retry_deferred)
+        sim.schedule(sim.now + sim.config.hello_interval_s, "discovery-deferred",
+                     partial(_retry_deferred, sim, node, pending))
         return
     seq = state.request_seq
     state.request_seq += 1
@@ -72,26 +68,39 @@ def initiate_discovery(sim: Simulator, node, dest_id: int) -> None:
     _send_rreq(sim, node, pending)
 
 
+def _retry_deferred(sim: Simulator, node, pending: _Pending) -> None:
+    """A deferred discovery's retry, unless it is no longer the pending one."""
+    if node.routing.pending.get(pending.dest_id) is pending:
+        del node.routing.pending[pending.dest_id]
+        if node.alive:
+            initiate_discovery(sim, node, pending.dest_id)
+
+
 def _send_rreq(sim: Simulator, node, pending: _Pending) -> None:
     state = node.routing
     rid = (node.node_id, pending.seq, pending.retry)
     state.seen_rreq.add(rid)
     rreq = RouteRequest(rid, pending.dest_id, [node.node_id], {node.node_id})
     sim.broadcast(node.node_id, rreq)
+    sim.schedule(sim.now + sim.config.rreq_timeout_s, "rreq-timeout",
+                 partial(_on_rreq_timeout, sim, node, pending))
 
-    def on_timeout():
-        if state.pending.get(pending.dest_id) is not pending:
-            return
-        pending.retry += 1
-        if pending.retry > sim.config.max_retries:
-            del state.pending[pending.dest_id]
-            for pid in state.queued.pop(pending.dest_id, ()):
-                sim.account_dropped(pid, "no-route")
-        elif node.alive:
-            _send_rreq(sim, node, pending)
-        else:
-            del state.pending[pending.dest_id]
-    sim.schedule(sim.now + sim.config.rreq_timeout_s, "rreq-timeout", on_timeout)
+
+def _on_rreq_timeout(sim: Simulator, node, pending: _Pending) -> None:
+    """Re-flood, or give up after max_retries, unless the discovery is no
+    longer the pending one."""
+    state = node.routing
+    if state.pending.get(pending.dest_id) is not pending:
+        return
+    pending.retry += 1
+    if pending.retry > sim.config.max_retries:
+        del state.pending[pending.dest_id]
+        for pid in state.queued.pop(pending.dest_id, ()):
+            sim.account_dropped(pid, "no-route")
+    elif node.alive:
+        _send_rreq(sim, node, pending)
+    else:
+        del state.pending[pending.dest_id]
 
 
 def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
@@ -216,9 +225,7 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
             sim.account_dropped(packet.packet_id, "route-error")
             # Control-plane shortcut: the notice reaches the source directly.
             # The data packet itself was already dropped at the detector.
-            source_id, dest_id = packet.source_id, packet.dest_id
-            sim.schedule(sim.now, "route-error",
-                         lambda: handle_rerr(sim, sim.nodes[source_id], dest_id))
+            sim.schedule(sim.now, "route-error", partial(_route_error, sim, packet))
             return None
         route[i + 1] = hop
         if sim.unicast(node.node_id, hop, packet):
@@ -233,6 +240,10 @@ def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> O
                   if e.sender_id not in route and e.sender_id not in tried
                   and after in e.neighbor_snapshot]
     return min(candidates) if candidates else None
+
+
+def _route_error(sim: Simulator, packet: DataPacket) -> None:
+    handle_rerr(sim, sim.nodes[packet.source_id], packet.dest_id)
 
 
 def handle_rerr(sim: Simulator, node, dest_id: int) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import routing
@@ -42,35 +43,13 @@ def build_simulation(config: ScenarioConfig,
         sim.nodes[node_id] = node
 
     nodes = list(sim.nodes.values())
-    sim.schedule(0.0, "startup", lambda: _start(sim, nodes))
+    sim.schedule(0.0, "startup", partial(_start, sim, nodes))
 
     dt = config.mobility_tick_s
     if config.node_speed_mps > 0:
-        def move():
-            # Dead nodes keep moving: they stay in the world, and advancing them
-            # keeps waypoint-stream consumption identical across protocol modes.
-            # The neighbour table holds alive nodes only, so it is kept unless
-            # an alive node changed position. A Position is never mutated: a
-            # node that moved holds a new one.
-            pause, width, height = config.pause_time_s, config.area_width_m, config.area_height_m
-            waypoints = sim.rng.waypoints
-            moved = False
-            for node in sim.nodes.values():
-                pos = node.pos
-                node.pos, node.mobility = mobility_step(
-                    pos, node.mobility, dt, pause, width, height, waypoints)
-                if node.pos is not pos and node.role != ROLE_DEAD:
-                    moved = True
-            if moved:
-                sim.invalidate_neighbors()
-        _every(sim, dt, dt, "mobility-tick", move)
-
-    def maintain():
-        for node in sim.nodes.values():
-            if node.role != ROLE_DEAD:
-                node.table_maintenance()
+        _every(sim, dt, dt, "mobility-tick", partial(_move, sim))
     # Offset half a tick so each maintenance pass sees that second's HELLOs.
-    _every(sim, dt / 2.0, dt, "maintenance-tick", maintain)
+    _every(sim, dt / 2.0, dt, "maintenance-tick", partial(_maintain, sim))
 
     if flow_pairs is None:
         flow_pairs = _draw_flows(sim)
@@ -78,14 +57,49 @@ def build_simulation(config: ScenarioConfig,
     return sim
 
 
+def _move(sim: Simulator) -> None:
+    """One mobility tick. Dead nodes keep moving: they stay in the world,
+    and advancing them keeps waypoint-stream consumption identical across
+    protocol modes. The neighbour table holds alive nodes only, so it is
+    kept unless an alive node changed position. A Position is never
+    mutated: a node that moved holds a new one."""
+    cfg = sim.config
+    dt, pause, width, height = (cfg.mobility_tick_s, cfg.pause_time_s,
+                                cfg.area_width_m, cfg.area_height_m)
+    waypoints = sim.rng.waypoints
+    moved = False
+    for node in sim.nodes.values():
+        pos = node.pos
+        node.pos, node.mobility = mobility_step(
+            pos, node.mobility, dt, pause, width, height, waypoints)
+        if node.pos is not pos and node.role != ROLE_DEAD:
+            moved = True
+    if moved:
+        sim.invalidate_neighbors()
+
+
+def _maintain(sim: Simulator) -> None:
+    for node in sim.nodes.values():
+        if node.role != ROLE_DEAD:
+            node.table_maintenance()
+
+
 def _every(sim: Simulator, first: float, period: float, kind: str,
            body: Callable[[], None]) -> None:
-    """Run body at `first`, then every `period`: each run re-arms the event
-    at now + period once body has returned."""
-    def fire():
-        body()
-        sim.schedule(sim.now + period, kind, fire)
-    sim.schedule(first, kind, fire)
+    """The one periodic timer: run body at `first`, then every `period`,
+    each run re-arming the event at now + period once body has returned.
+    Nothing is armed past duration_s, the time every entry point runs a
+    simulation to: a `first` past it arms nothing, and the last run arms no
+    successor. Each event is a partial of _fire, plain data like every
+    event of a run (see engine), so body must be plain data too."""
+    if first <= sim.config.duration_s:
+        sim.schedule(first, kind, partial(_fire, sim, period, kind, body))
+
+
+def _fire(sim: Simulator, period: float, kind: str, body: Callable[[], None]) -> None:
+    body()
+    if sim.now + period <= sim.config.duration_s:
+        sim.schedule(sim.now + period, kind, partial(_fire, sim, period, kind, body))
 
 
 def _start(sim: Simulator, nodes: List[Node]) -> None:
@@ -111,17 +125,17 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
         delivered before the first undecided timeout.
     """
     interval = sim.config.hello_interval_s
-
-    def hello_round():
-        for node in nodes:
-            if node.role != ROLE_DEAD:
-                node.send_hello()
-
-    _every(sim, sim.now + interval, interval, "hello", hello_round)
-    hello_round()
+    _every(sim, sim.now + interval, interval, "hello", partial(_hello_round, nodes))
+    _hello_round(nodes)
     for node in nodes:
         if node.alive:
             node._restart_undecided_timer()
+
+
+def _hello_round(nodes: List[Node]) -> None:
+    for node in nodes:
+        if node.role != ROLE_DEAD:
+            node.send_hello()
 
 
 def _draw_flows(sim: Simulator) -> List[Tuple[int, int]]:
@@ -140,18 +154,16 @@ def _draw_flows(sim: Simulator) -> List[Tuple[int, int]]:
 
 
 def _schedule_traffic(sim: Simulator, flow_pairs: Sequence[Tuple[int, int]]) -> None:
+    """One periodic "traffic" timer per flow, from traffic_start_s on."""
     cfg = sim.config
     if cfg.packets_per_second <= 0:
         return
     period = 1.0 / cfg.packets_per_second
-
-    def make_generator(src: int, dst: int):
-        def generate():
-            routing.generate_packet(sim, src, dst)
-            if sim.now + period <= cfg.duration_s:
-                sim.schedule(sim.now + period, "traffic", generate)
-        return generate
-
     for src, dst in flow_pairs:
-        if cfg.traffic_start_s <= cfg.duration_s:
-            sim.schedule(cfg.traffic_start_s, "traffic", make_generator(src, dst))
+        _every(sim, cfg.traffic_start_s, period, "traffic", partial(_generate, sim, src, dst))
+
+
+def _generate(sim: Simulator, src: int, dst: int) -> None:
+    # Looked up on the module at each packet, so a patched
+    # routing.generate_packet is the one that runs.
+    routing.generate_packet(sim, src, dst)

@@ -3,8 +3,6 @@ undecided nodes, with cluster-membership edges."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .engine import ROLE_DEAD, ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, Simulator
 
 ROLE_COLORS = {
@@ -19,8 +17,7 @@ _NODE_RADIUS = 5.0
 
 
 def render_snapshot(sim: Simulator, range_circles: bool = False,
-                    weight_labels: bool = False,
-                    highlight: Optional[int] = None) -> str:
+                    weight_labels: bool = False) -> str:
     cfg = sim.config
     width = cfg.area_width_m + 2 * _MARGIN
     height = cfg.area_height_m + 2 * _MARGIN
@@ -49,8 +46,7 @@ def render_snapshot(sim: Simulator, range_circles: bool = False,
                 f'stroke="#bbbbbb" stroke-width="1"/>')
 
     for node in sim.nodes.values():
-        draw_circle = range_circles or node.node_id == highlight
-        if draw_circle:
+        if range_circles:
             parts.append(
                 f'<circle cx="{sx(node.pos.x):.1f}" cy="{sy(node.pos.y):.1f}" '
                 f'r="{cfg.tx_range_m:g}" fill="none" stroke="#7fb2ff" '
@@ -63,7 +59,7 @@ def render_snapshot(sim: Simulator, range_circles: bool = False,
             f'r="{_NODE_RADIUS:g}" fill="{color}" data-node="{node.node_id}" '
             f'data-role="{node.role}"/>')
         label = str(node.node_id)
-        if (weight_labels or node.node_id == highlight) and node.alive:
+        if weight_labels and node.alive:
             weight = node.election_weight()   # None in cbrp: no label
             if weight is not None:
                 label += f" w={weight:.2f}"

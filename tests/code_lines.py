@@ -28,18 +28,25 @@ NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines in one Python source text."""
-    docstrings = set()
-    for node in ast.walk(ast.parse(source)):
+def docstrings(tree: ast.AST) -> List[ast.Expr]:
+    """The docstring statement of each module, class and function in tree:
+    a string expression that opens its body."""
+    found = []
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             first = node.body[0] if node.body else None
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
-                docstrings.add((first.lineno, first.col_offset))
+                found.append(first)
+    return found
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in one Python source text."""
+    starts = {(doc.lineno, doc.col_offset) for doc in docstrings(ast.parse(source))}
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type in NOT_CODE or (tok.type == tokenize.STRING and tok.start in docstrings):
+        if tok.type in NOT_CODE or (tok.type == tokenize.STRING and tok.start in starts):
             continue
         lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines)

@@ -9,7 +9,8 @@ frames whose file lies under src/cbrsim. Then, for each file, it prints
 `file:line  source` for every statement that never ran, and the total. A
 statement is any ast.stmt other than a def, a class, an import or a
 docstring; it ran if any line it spans ran, so a compound statement ran if
-its body did. The exit status is pytest's. Tracing makes the tests run
+its body did; docstrings are found as tests/code_lines.py finds them.
+The exit status is pytest's. Tracing makes the tests run
 about four times as long. Standard library plus pytest.
 """
 
@@ -25,6 +26,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
+from code_lines import docstrings
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cbrsim"
 NOT_COUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, ast.ImportFrom)
 
@@ -32,16 +35,10 @@ NOT_COUNTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Import, 
 def statements(source: str) -> List[Tuple[int, int]]:
     """(first line, last line) of each statement that counts, in line order."""
     tree = ast.parse(source)
-    docstrings = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0] if node.body else None
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                docstrings.add(id(first))
+    skipped = {id(doc) for doc in docstrings(tree)}
     return sorted((node.lineno, node.end_lineno) for node in ast.walk(tree)
                   if isinstance(node, ast.stmt) and not isinstance(node, NOT_COUNTED)
-                  and id(node) not in docstrings)
+                  and id(node) not in skipped)
 
 
 def never_ran(source: str, ran: Set[int]) -> List[int]:

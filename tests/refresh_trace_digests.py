@@ -44,9 +44,12 @@ import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from cbrsim import ScenarioConfig, build_simulation, stress_config
+
+if TYPE_CHECKING:   # --explain imports this module under another tree's cbrsim
+    from cbrsim.engine import Simulator
 
 HERE = Path(__file__).resolve().parent
 TABLE = HERE / "trace_digests.json"
@@ -92,13 +95,23 @@ def trace_lines(config: ScenarioConfig) -> List[str]:
     """The repr of each record of one run's stream, then of its final metrics."""
     sim = build_simulation(config)
     sim.trace = []
-    metrics = sim.run_until(config.duration_s)
+    return run_lines(sim, config.duration_s)
+
+
+def run_lines(sim: Simulator, t_end: float) -> List[str]:
+    """Run sim on to t_end; the repr of each record of its stream, then of
+    its final metrics."""
+    metrics = sim.run_until(t_end)
     return [*map(repr, sim.trace), repr(dataclasses.asdict(metrics))]
+
+
+def lines_digest(lines: List[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def trace_digest(config: ScenarioConfig) -> str:
     """sha256 of one run's record stream and final metrics."""
-    return hashlib.sha256("\n".join(trace_lines(config)).encode()).hexdigest()
+    return lines_digest(trace_lines(config))
 
 
 def first_divergence(trace_a: Sequence, trace_b: Sequence) -> Optional[Tuple[int, object, object]]:

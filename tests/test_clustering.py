@@ -112,8 +112,8 @@ def test_one_startup_event_and_one_hello_event_per_interval(n, monkeypatch):
                             initial_energy=1e9)
     build_simulation(config).run_until(config.duration_s)
     assert [t for kind, t in scheduled if kind == "startup"] == [0.0]
-    # Due at 0.5, 1.0, ..., 10.0 s, and the last one re-armed for 10.5 s.
-    assert [t for kind, t in scheduled if kind == "hello"] == [k / 2 for k in range(1, 22)]
+    # Due at 0.5, 1.0, ..., 10.0 s; nothing is armed past the end of the run.
+    assert [t for kind, t in scheduled if kind == "hello"] == [k / 2 for k in range(1, 21)]
 
 
 def spy_on_hellos(monkeypatch, log):
@@ -270,8 +270,11 @@ def test_isolated_node_stays_undecided_and_repeats():
     sim.run_until(10.0)
     node = sim.nodes[0]
     assert node.role == ROLE_UNDECIDED
-    # The procedure is re-armed: the node's live timer is on the queue, due later.
-    due = [t for t, _, fn in sim._queue if fn is node._undecided_timer]
+    # The procedure is re-armed: the node's live timer, the one that carries
+    # its newest number, is on the queue, due later.
+    due = [t for t, _, fn in sim._queue
+           if getattr(fn, "func", None) == node._undecided_timer_due
+           and fn.args == (node._undecided_timer,)]
     assert len(due) == 1 and due[0] > sim.now
     assert sim.metrics.cluster_reformations == 0
 

@@ -246,20 +246,20 @@ def test_snapshot_all_dead_is_all_red():
     assert '#1f6fe0' not in svg and 'fill="#000000"' not in svg
 
 
-def test_snapshot_highlight_draws_range_circle_and_weight():
+def test_snapshot_draws_range_circles_and_weights():
     sim = static_sim({5: (0, 0), 7: (10, 0), 9: (25, 0)})
     sim.run_until(6.0)
-    svg = render_snapshot(sim, highlight=7)
-    assert svg.count('stroke-dasharray') == 1   # exactly the highlighted node
+    svg = render_snapshot(sim, range_circles=True, weight_labels=True)
+    assert svg.count('stroke-dasharray') == 3   # one range circle a node
     assert "w=" in svg
 
 
-def test_snapshot_highlight_in_cbrp_draws_range_circle_without_weight():
+def test_snapshot_in_cbrp_draws_range_circles_without_weights():
     # cbrp elects by id and advertises no weight, so the label is the bare id.
     sim = static_sim({5: (0, 0), 7: (10, 0), 9: (25, 0)}, mode="cbrp")
     sim.run_until(6.0)
-    svg = render_snapshot(sim, weight_labels=True, highlight=7)
-    assert svg.count('stroke-dasharray') == 1
+    svg = render_snapshot(sim, range_circles=True, weight_labels=True)
+    assert svg.count('stroke-dasharray') == 3
     assert "w=" not in svg
     assert ">7</text>" in svg
 
@@ -286,6 +286,16 @@ def test_cli_run_writes_snapshot(tmp_path, capsys):
                  "--snapshot", str(path)])
     assert code == 0
     assert path.read_text().startswith("<svg")
+
+
+def test_cli_run_draws_range_circles_and_weight_labels(tmp_path, capsys):
+    path = tmp_path / "topo.svg"
+    code = main(["run", "--nodes", "8", "--set", "duration_s=5", "--snapshot", str(path),
+                 "--range-circles", "--weight-labels"])
+    assert code == 0
+    svg = path.read_text()
+    assert svg.count('stroke-dasharray') == 8
+    assert "w=" in svg
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

@@ -10,15 +10,27 @@ HELLO that names a secondary also names its cluster, and every HELLO is
 handled at the time it carries. A route request never reaches a node twice
 or a node on its recorded path, a route reply retraces its recorded path hop
 by hop, a data packet is only handled by the node at its cursor, and every
-unicast goes to a node of the run."""
+unicast goes to a node of the run. Every event scheduled is plain data: a
+bound method, or a partial of a function or a bound method, that is no
+closure or lambda, so a running simulation copies and pickles."""
 
+import sys
 from collections import Counter
+from functools import partial
+from pathlib import Path
+from types import MethodType
 
-from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig, routing
+from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig, routing, run_stress
 from cbrsim.engine import Simulator
 from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import run_failover_trace, stress_config
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from tracer import EVENT_KINDS  # noqa: E402
+from workloads import WORKLOADS, run_pass  # noqa: E402
 
 
 def _undecided_has_no_head(node):
@@ -107,3 +119,36 @@ def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
         handled.clear()
         run_failover_trace(mode)
     assert len(calls) == len(rows), calls
+
+
+def _plain_data(fn) -> bool:
+    """fn is a bound method, or a partial of one or of a function, whose
+    qualified name holds no <locals> or <lambda>; so is every partial among
+    a partial's arguments."""
+    if isinstance(fn, partial):
+        return (_named(fn.func)
+                and all(_plain_data(a) for a in fn.args if isinstance(a, partial)))
+    return isinstance(fn, MethodType) and _named(fn)
+
+
+def _named(fn) -> bool:
+    return "<locals>" not in fn.__qualname__ and "<lambda>" not in fn.__qualname__
+
+
+def test_every_scheduled_event_is_plain_data(monkeypatch):
+    kinds, closures = set(), []
+    schedule = Simulator.schedule
+
+    def spy(sim, fire_time, kind, fn):
+        kinds.add(kind)
+        if not _plain_data(fn):
+            closures.append((kind, fn))
+        return schedule(sim, fire_time, kind, fn)
+    monkeypatch.setattr(Simulator, "schedule", spy)
+    for workload in WORKLOADS.values():
+        run_pass(workload, 1, tiny=True)
+    for mode in ("cbrp", "ecbrp"):
+        run_failover_trace(mode)
+    run_stress("ecbrp", 1)
+    assert closures == []
+    assert kinds == set(EVENT_KINDS)
