@@ -58,6 +58,8 @@ class ScenarioConfig:
     # Routing
     max_retries: int = 2
     rreq_timeout_s: float = 2.0
+    # The route cache was removed; only off is accepted. The key stays
+    # because perfbench/workloads.py passes route_cache=False.
     route_cache: bool = False
 
     # Traffic
@@ -118,6 +120,8 @@ class ScenarioConfig:
             raise ConfigError(f"flows: must be >= 0, got {self.flows}")
         if self.max_retries < 0:
             raise ConfigError(f"max_retries: must be >= 0, got {self.max_retries}")
+        if self.route_cache:
+            raise ConfigError("route_cache: the route cache was removed; only off is accepted")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

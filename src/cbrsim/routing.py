@@ -28,7 +28,6 @@ class RoutingState:
     queued: Dict[int, List[int]] = field(default_factory=dict)     # dest -> waiting packet ids
     # This node's own request ids; perfbench/tracer.py and tests read it.
     seen_rreq: Set[Tuple[int, int, int]] = field(default_factory=set)
-    cached_suffix: Dict[int, List[int]] = field(default_factory=dict)  # route_cache=on only
 
 
 # -- traffic entry point ----------------------------------------------------
@@ -69,11 +68,11 @@ def initiate_discovery(sim: Simulator, node, dest_id: int) -> None:
 
 
 def _retry_deferred(sim: Simulator, node, pending: _Pending) -> None:
-    """A deferred discovery's retry, unless it is no longer the pending one."""
-    if node.routing.pending.get(pending.dest_id) is pending:
-        del node.routing.pending[pending.dest_id]
-        if node.alive:
-            initiate_discovery(sim, node, pending.dest_id)
+    """A deferred discovery's retry. It is still the pending one: nothing
+    else removes an entry whose seq is None."""
+    del node.routing.pending[pending.dest_id]
+    if node.alive:
+        initiate_discovery(sim, node, pending.dest_id)
 
 
 def _send_rreq(sim: Simulator, node, pending: _Pending) -> None:
@@ -130,11 +129,6 @@ def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
     if node.node_id == rreq.dest_id:
         _start_rrep(sim, node, rreq.request_id, path)
         return
-    if sim.config.route_cache:
-        suffix = node.routing.cached_suffix.get(rreq.dest_id)
-        if suffix is not None and not set(suffix[1:]) & set(path):
-            _start_rrep(sim, node, rreq.request_id, path + suffix[1:])
-            return
     if not _should_relay(node, rreq.recorded_path, rreq.dest_id):
         return
     sim.broadcast(node.node_id, RouteRequest(rreq.request_id, rreq.dest_id, path, rreq.seen))
@@ -150,8 +144,6 @@ def handle_rrep(sim: Simulator, node, rrep: RouteReply) -> None:
     if i == 0:
         _establish_route(sim, node, rrep)
         return
-    if sim.config.route_cache:
-        node.routing.cached_suffix[rrep.full_path[-1]] = rrep.full_path[i:]
     rrep.cursor = i - 1
     sim.unicast(node.node_id, rrep.full_path[i - 1], rrep)
 

@@ -35,6 +35,9 @@ from pathlib import Path
 from typing import Dict, List
 
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# Every workload BENCHMARK.json lists, comma-separated: the default
+# --workload of the tools that run them all.
+ALL_WORKLOADS = ",".join(w["name"] for w in json.loads(SPEC.read_text())["workloads"])
 SIDES = ("parent", "change")
 
 

@@ -31,7 +31,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List
 
-SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+from ab_pairs import ALL_WORKLOADS
+
 TOP = 15
 
 
@@ -123,11 +124,10 @@ def differences(first: dict, second: dict) -> List[str]:
 
 
 def main(argv=None) -> int:
-    workloads = ",".join(w["name"] for w in json.loads(SPEC.read_text())["workloads"])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
-    parser.add_argument("--workload", default=workloads,
-                        help=f"a workload, or a comma-separated list (default {workloads})")
+    parser.add_argument("--workload", default=ALL_WORKLOADS,
+                        help=f"a workload, or a comma-separated list (default {ALL_WORKLOADS})")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("tiny", "full"), default="full")
     args = parser.parse_args(argv)

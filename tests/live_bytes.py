@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import tracemalloc
 from pathlib import Path
 from typing import List
 
+from ab_pairs import ALL_WORKLOADS
 from call_counts import import_checkout, run_checkout
 
-SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 MB = 1e6
 TOP_SITES = 5
 
@@ -97,11 +96,10 @@ def report(name: str, result: dict) -> List[str]:
 
 
 def main(argv=None) -> int:
-    workloads = ",".join(w["name"] for w in json.loads(SPEC.read_text())["workloads"])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
-    parser.add_argument("--workload", default=workloads,
-                        help=f"a workload, or a comma-separated list (default {workloads})")
+    parser.add_argument("--workload", default=ALL_WORKLOADS,
+                        help=f"a workload, or a comma-separated list (default {ALL_WORKLOADS})")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("tiny", "full"), default="full")
     args = parser.parse_args(argv)

@@ -9,9 +9,8 @@ join, discovery path and data hop, with its time) plus its `RunMetrics`. A
 change can keep every node's end state and still reorder elections; these
 digests catch that. Run this only in a change that means to alter simulated
 behaviour: tests/test_trace_digests.py fails on any run whose digest differs
-from the table. The matrix is both modes x ten scenarios x seeds 1-3.
-cache-n60 is ample-n60 with route_cache on, so intermediate nodes answer
-requests from the replies they cached. Five scenarios sit at the exact ties
+from the table. The matrix is both modes x nine scenarios x seeds 1-3.
+Five scenarios sit at the exact ties
 where two kinds of event are due at the same instant, so a change of order
 at a tie moves their digests: delay-is-interval (propagation_delay_s ==
 hello_interval_s), timer-is-interval (undecided_timer_intervals == 1),
@@ -72,8 +71,6 @@ SCENARIOS = {
     "default-n30": lambda mode, seed: ScenarioConfig(
         node_count=30, duration_s=60.0, seed=seed, protocol_mode=mode),
     "ample-n60": _ample_n60,
-    "cache-n60": lambda mode, seed: dataclasses.replace(
-        _ample_n60(mode, seed), route_cache=True),
     "stress": stress_config,
     "delay-is-interval": lambda mode, seed: _tie_n40(mode, seed, propagation_delay_s=1.0),
     "timer-is-interval": lambda mode, seed: _tie_n40(mode, seed, undecided_timer_intervals=1.0),

@@ -1,5 +1,11 @@
 """The alternating A/B benchmark script, with its benchmark runs faked."""
 
+import argparse
+import importlib
+import json
+
+import pytest
+
 import ab_pairs
 
 
@@ -98,3 +104,22 @@ def test_each_workload_of_a_list_runs_its_pairs_and_gets_its_block(monkeypatch, 
     assert [line for line in lines if line.startswith("FAILED")] == [
         "FAILED: change pair 1 reported failed 2 of 3"]
     assert lines.index("FAILED: change pair 1 reported failed 2 of 3") > sweep
+
+
+class _Parsed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("tool", ["call_counts", "live_bytes", "trace_counts"])
+def test_every_tool_defaults_to_every_benchmark_workload(tool, monkeypatch):
+    # Stop each tool's main() right after it parses its flags.
+    names = [w["name"] for w in json.loads(ab_pairs.SPEC.read_text())["workloads"]]
+    parse = argparse.ArgumentParser.parse_args
+
+    def parse_and_stop(parser, argv):
+        raise _Parsed(parse(parser, argv))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_and_stop)
+    with pytest.raises(_Parsed) as parsed:
+        importlib.import_module(tool).main(["a", "b"])
+    assert parsed.value.args[0].workload.split(",") == names

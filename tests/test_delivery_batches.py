@@ -49,17 +49,16 @@ def _run(config, victim, kill_at):
 @settings(max_examples=100, deadline=None)
 @given(mode=st.sampled_from(["cbrp", "ecbrp"]),
        n=st.integers(min_value=5, max_value=40),
-       route_cache=st.booleans(),
        delay=st.sampled_from([0.0, 0.002, 0.5, 1.0]),   # 1.0 is hello_interval_s
        side=st.sampled_from([200.0, 400.0]),
        energy=st.sampled_from([60.0, 600.0]),
        seed=st.integers(min_value=0, max_value=2**16),
        victim=st.integers(min_value=0, max_value=39),
        kill_at=st.sampled_from([3.0, 4.5, 5.002, 6.37]))
-def test_batches_replay_the_per_transmission_engine(mode, n, route_cache, delay, side,
-                                                     energy, seed, victim, kill_at):
+def test_batches_replay_the_per_transmission_engine(mode, n, delay, side, energy, seed,
+                                                     victim, kill_at):
     config = ScenarioConfig(node_count=n, duration_s=12.0, seed=seed, protocol_mode=mode,
-                            route_cache=route_cache, propagation_delay_s=delay,
+                            propagation_delay_s=delay,
                             hello_interval_s=1.0, area_width_m=side, area_height_m=side,
                             initial_energy=energy, traffic_start_s=2.0,
                             packets_per_second=5.0, flows=max(1, n // 5))

@@ -16,6 +16,7 @@ from cbrsim import (ConfigError, RunMetrics, ScenarioConfig, load_config_file,
                     pdr, run_scenario, sweep, sweep_to_csv, write_sweep_csv)
 from cbrsim.cli import main
 from cbrsim.config import MAX_FIRINGS
+from cbrsim.engine import Simulator
 from cbrsim.experiment import CSV_COLUMNS
 from cbrsim.geometry import Position
 from cbrsim.scenario import _draw_flows, build_simulation
@@ -401,6 +402,45 @@ def test_cli_config_boundary(args, named, tmp_path, monkeypatch, capsys):
     else:
         assert main(argv) == 2
         assert named in capsys.readouterr().err
+
+
+def test_route_cache_only_accepts_off():
+    # The route cache was removed: validate() rejects it on, and the
+    # spelling perfbench/workloads.py uses, route_cache=False, still runs.
+    with pytest.raises(ConfigError, match="route_cache"):
+        ScenarioConfig(route_cache=True).validate()
+    metrics = run_scenario(tiny_config(route_cache=False))
+    assert metrics.packets_sent > 0
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--set", "route_cache=on"],
+    ["run", "--config", "{conf}"],
+    ["sweep", "--nodes", "5", "--replicates", "1", "--set", "route_cache=on"],
+])
+def test_cli_rejects_route_cache_on_before_any_run(args, tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "cache.conf"
+    conf.write_text("route_cache = on\n")
+    runs = []
+    monkeypatch.setattr(Simulator, "run_until", lambda sim, t_end: runs.append(sim))
+    assert main([*(a.format(conf=conf) for a in args), "--set", "duration_s=1"]) == 2
+    assert "route_cache" in capsys.readouterr().err
+    assert runs == []
+
+
+@pytest.mark.parametrize("spelling, on", [
+    ("on", True), ("true", True), ("yes", True), ("1", True),
+    ("off", False), ("false", False), ("no", False), ("0", False),
+])
+def test_config_file_route_cache_accepts_only_off_in_every_spelling(spelling, on, tmp_path,
+                                                                    capsys):
+    # The parser still reads each boolean spelling; validate() turns away
+    # every spelling of on, and every spelling of off runs.
+    conf = tmp_path / "cache.conf"
+    conf.write_text(f"node_count = 5\nduration_s = 1\nroute_cache = {spelling}\n")
+    assert load_config_file(str(conf)).route_cache is on
+    assert main(["run", "--config", str(conf)]) == (2 if on else 0)
+    assert ("route_cache" in capsys.readouterr().err) is on
 
 
 @pytest.mark.parametrize("key", ["stale_timeout_intervals", "undecided_timer_intervals"])

@@ -9,8 +9,9 @@ and a head re-elects its secondary from a table that holds no stale entry. A
 HELLO that names a secondary also names its cluster, and every HELLO is
 handled at the time it carries. A route request never reaches a node twice
 or a node on its recorded path, a route reply retraces its recorded path hop
-by hop, a data packet is only handled by the node at its cursor, and every
-unicast goes to a node of the run. Every event scheduled is plain data: a
+by hop, a deferred discovery is still the pending one when it retries, a
+data packet is only handled by the node at its cursor, and every unicast
+goes to a node of the run. Every event scheduled is plain data: a
 bound method, or a partial of a function or a bound method, that is no
 closure or lambda, so a running simulation copies and pickles."""
 
@@ -53,6 +54,8 @@ INVARIANTS = (
      lambda sim, node, rrep: rrep.full_path[rrep.cursor] == node.node_id),
     (routing, "forward_data", _forward_data),
     (routing, "_start_rrep", lambda sim, node, request_id, full_path: len(full_path) >= 2),
+    (routing, "_retry_deferred",
+     lambda sim, node, pending: node.routing.pending.get(pending.dest_id) is pending),
     (Node, "_join", lambda node, entry: node.role != ROLE_HEAD),
     (Node, "revert_undecided", lambda node: node.role == ROLE_MEMBER),
     (Node, "_reelect_secondary", lambda node: node.role == ROLE_HEAD),
@@ -79,8 +82,7 @@ def _matrix():
         yield ScenarioConfig(node_count=30, duration_s=60.0, seed=1, protocol_mode=mode)
         yield stress_config(mode, 1)
         yield ScenarioConfig(node_count=60, duration_s=40.0, seed=1, protocol_mode=mode,
-                             initial_energy=1e9, route_cache=True,
-                             propagation_delay_s=0.002)
+                             initial_energy=1e9, propagation_delay_s=0.002)
 
 
 def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):

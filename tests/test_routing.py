@@ -310,13 +310,21 @@ def test_salvage_uses_neighbour_ids_advertised_in_hello():
     assert_conserved(sim)
 
 
-def test_route_cache_answers_from_intermediate():
-    sim = static_sim({0: (0, 0), 1: (-50, 0), 2: (50, 0)}, mode="cbrp",
-                     flow_pairs=[(1, 2)], flows=None, duration_s=20.0,
-                     route_cache=True)
+@pytest.mark.parametrize("mode", ["cbrp", "ecbrp"])
+def test_route_replies_start_only_at_the_destination(mode, monkeypatch):
+    # Head 0 learns a route to each end from the other's reply, and still
+    # only relays: a reply is started by the node its path ends at.
+    replies = []
+    start = routing._start_rrep
+    monkeypatch.setattr(routing, "_start_rrep", lambda sim, node, request_id, full_path: (
+        replies.append((node.node_id, tuple(full_path))),
+        start(sim, node, request_id, full_path)))
+    sim = static_sim({0: (0, 0), 1: (-50, 0), 2: (50, 0)}, mode=mode,
+                     flow_pairs=[(1, 2), (2, 1)], flows=None, duration_s=20.0)
     sim.run_until(20.0)
-    assert sim.metrics.packets_delivered > 0
-    assert sim.nodes[0].routing.cached_suffix.get(2) == [0, 2]
+    assert {path for _, path in replies} == {(1, 0, 2), (2, 0, 1)}
+    assert all(node_id == path[-1] for node_id, path in replies)
+    assert sim.metrics.packets_delivered == sim.metrics.packets_sent > 0
     assert_conserved(sim)
     assert_loop_free(sim)
 

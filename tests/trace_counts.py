@@ -19,12 +19,11 @@ source trees, each with its own perfbench/.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Dict
 
-from ab_pairs import SIDES, SPEC, run_once
+from ab_pairs import ALL_WORKLOADS, SIDES, run_once
 
 
 def count_metrics(result: dict) -> Dict[str, object]:
@@ -51,12 +50,11 @@ def compare(checkouts: Dict[str, Path], args) -> bool:
 
 
 def main(argv=None) -> int:
-    workloads = ",".join(w["name"] for w in json.loads(SPEC.read_text())["workloads"])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", default=workloads,
-                        help=f"a workload, or a comma-separated list (default {workloads})")
+    parser.add_argument("--workload", default=ALL_WORKLOADS,
+                        help=f"a workload, or a comma-separated list (default {ALL_WORKLOADS})")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
