@@ -375,6 +375,12 @@ def test_grid_query_matches_brute_force_at_cell_edges(tx_range, a, b):
     add_node(sim, 1, *b)
     add_node(sim, 2, 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))
     _assert_query_matches_brute_force(sim)
+    # unicast reaches a next hop exactly when the scan finds it.
+    for sender in sim.nodes:
+        for hop in sim.nodes:
+            if hop != sender:
+                expected = hop in _brute_force_in_range(sim, sender)
+                assert sim.unicast(sender, hop, "probe") == expected, (sender, hop)
 
 
 # Offsets that put a coordinate on, or within a rounding error of, a

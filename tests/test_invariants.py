@@ -11,7 +11,11 @@ handled at the time it carries. A route request never reaches a node twice
 or a node on its recorded path, a route reply retraces its recorded path hop
 by hop, a deferred discovery is still the pending one when it retries, a
 data packet is only handled by the node at its cursor, and every unicast
-goes to a node of the run. Every event scheduled is plain data: a
+goes to a node of the run, which the neighbour table lists exactly when it
+is alive and within range of an alive sender. A member that decides whether
+to relay a request has a head, a join never picks the head a member had,
+and every member at the end of a run has a head of the run. Every event
+scheduled is plain data: a
 bound method, or a partial of a function or a bound method, that is no
 closure or lambda, so a running simulation copies and pickles."""
 
@@ -22,7 +26,8 @@ from pathlib import Path
 from types import MethodType
 
 from cbrsim import ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED, ScenarioConfig, routing, run_stress
-from cbrsim.engine import Simulator
+from cbrsim.engine import ROLE_DEAD, Simulator
+from cbrsim.geometry import distance
 from cbrsim.node import Node
 from cbrsim.scenario import build_simulation
 from cbrsim.traces import run_failover_trace, stress_config
@@ -43,6 +48,22 @@ def _forward_data(sim, node, packet):
         return None   # a transmission drained it: dropped as dead-forwarder
     route, i = packet.route, packet.cursor
     return route[i] == node.node_id and i + 1 < len(route)
+
+
+def _table_matches_range_test(sim, sender_id, next_hop, message):
+    """For an alive sender, the neighbour table lists the next hop exactly
+    when it is alive and within range: the table is not stale."""
+    sender, target = sim.nodes[sender_id], sim.nodes[next_hop]
+    if sender.role == ROLE_DEAD:
+        return None
+    in_range = (target.role != ROLE_DEAD
+                and distance(sender.pos, target.pos) <= sim.config.tx_range_m)
+    return (next_hop in sim.alive_in_range(sender_id)) == in_range
+
+
+def _members_have_heads_of_the_run(sim):
+    return all(node.head_id in sim.nodes for node in sim.nodes.values()
+               if node.role == ROLE_MEMBER)
 
 
 # (owner, function name, condition on the call's arguments). A condition
@@ -74,6 +95,13 @@ INVARIANTS = (
      else hello.cluster_id is not None),
     (Node, "on_hello", lambda node, hello, sender_id: hello.heard_at == node.sim.now),
     (Simulator, "unicast", lambda sim, sender_id, next_hop, message: next_hop in sim.nodes),
+    (Simulator, "unicast", _table_matches_range_test),
+    (routing, "_should_relay",
+     lambda node, recorded_path, dest_id: None if node.role != ROLE_MEMBER
+     else node.head_id is not None),
+    (Node, "_join_best_head",
+     lambda node, entries: all(e.sender_id != node.head_id for e in entries
+                               if e.sender_role == ROLE_HEAD)),
 )
 
 
@@ -116,10 +144,12 @@ def test_unguarded_role_and_route_invariants_hold_on_every_call(monkeypatch):
         spy(row, owner, name, holds)
     for config in _matrix():
         handled.clear()
-        build_simulation(config).run_until(config.duration_s)
+        sim = build_simulation(config)
+        sim.run_until(config.duration_s)
+        assert _members_have_heads_of_the_run(sim), config
     for mode in ("cbrp", "ecbrp"):
         handled.clear()
-        run_failover_trace(mode)
+        assert _members_have_heads_of_the_run(run_failover_trace(mode).sim), mode
     assert len(calls) == len(rows), calls
 
 
