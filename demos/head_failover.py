@@ -16,7 +16,7 @@ from cbrsim.traces import FAILOVER_KILL_TIME
 for mode, label in (("cbrp", "baseline (lowest-id election, no secondary)"),
                     ("ecbrp", "enhanced (weighted election + secondary head)")):
     result = run_failover_trace(mode)
-    m = result.metrics
+    m = result.sim.metrics
     print(f"{label}")
     print(f"  packets: {m.packets_delivered}/{m.packets_sent} delivered, "
           f"{m.total_dropped} dropped")

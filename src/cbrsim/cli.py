@@ -103,7 +103,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_trace(args) -> int:
     ecbrp = run_failover_trace("ecbrp")
     cbrp = run_failover_trace("cbrp")
-    e, c = ecbrp.metrics, cbrp.metrics
+    e, c = ecbrp.sim.metrics, cbrp.sim.metrics
     e_pass = (ecbrp.delivered_after_kill > 0 and e.cluster_reformations == 0
               and e.total_dropped == 0)
     c_pass = (c.cluster_reformations >= 1 or c.dropped["route-error"] >= 1)

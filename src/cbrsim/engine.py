@@ -44,7 +44,6 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .config import ScenarioConfig
-from .geometry import distance
 from .messages import RouteRequest
 from .metrics import RunMetrics
 
@@ -203,13 +202,12 @@ class Simulator:
         return receivers
 
     def unicast(self, sender_id: int, next_hop: int, message) -> bool:
-        """True iff the hop is feasible (next hop alive and in range) at send time."""
+        """True iff the hop is feasible at send time: the neighbour table
+        lists next_hop, so it is alive and in range."""
         sender = self.nodes[sender_id]
         if sender.role == ROLE_DEAD:
             return False
-        target = self.nodes[next_hop]
-        ok = (target.role != ROLE_DEAD
-              and distance(sender.pos, target.pos) <= self.config.tx_range_m)
+        ok = next_hop in self.alive_in_range(sender_id)
         self._transmit(sender, (next_hop,) if ok else (), message)
         return ok
 

@@ -41,8 +41,6 @@ def run_scenario(config: ScenarioConfig) -> RunMetrics:
 
 @dataclass
 class CellResult:
-    node_count: int
-    mode: str
     seeds: List[int]
     metrics: List[RunMetrics]
 
@@ -91,7 +89,7 @@ def sweep(node_counts: Sequence[int], modes: Sequence[str], replicates: int,
                 config = replace(base_config, node_count=n, protocol_mode=mode, seed=seed)
                 seeds.append(seed)
                 metrics.append(run_scenario(config))
-            result.cells[(n, mode)] = CellResult(n, mode, seeds, metrics)
+            result.cells[(n, mode)] = CellResult(seeds, metrics)
     return result
 
 

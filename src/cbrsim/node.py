@@ -60,17 +60,6 @@ from .geometry import Position
 from .messages import DataPacket, Hello, RouteReply, RouteRequest, SecondaryAnnounce
 from .mobility import EnergyState, MobilityState
 
-# Routing message type -> name of the routing function that handles it,
-# called as function(sim, node, message). Looked up on the module at each
-# call, so a patched routing.handle_* is the one that runs. handle_message
-# hands a Hello and a SecondaryAnnounce to this node's own methods.
-_ROUTING_HANDLERS = {
-    RouteRequest: "handle_rreq",
-    RouteReply: "handle_rrep",
-    DataPacket: "handle_data",
-}
-
-
 def _rank(weight: Optional[float], node_id: int) -> Tuple[float, int]:
     """Election order: lower weight first, ties to the lower id. A missing
     weight ranks last (0.0 is a legal weight), so with no weights at all the
@@ -119,10 +108,6 @@ class Node:
         self.routing = routing.RoutingState()
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def alive(self) -> bool:
-        return self.role != ROLE_DEAD
 
     def secondary_of(self, head_id: int) -> Optional[int]:
         """The secondary of the cluster headed by head_id, if this node knows it."""
@@ -239,18 +224,21 @@ class Node:
     # -- message dispatch --------------------------------------------------
 
     def handle_message(self, message, sender_id: int) -> None:
+        # routing.handle_* is looked up at each call, so a patched one runs.
         kind = type(message)
-        if kind is Hello:   # most receptions: skip the table
+        if kind is Hello:   # most receptions
             self.on_hello(message, sender_id)
+        elif kind is RouteRequest:
+            routing.handle_rreq(self.sim, self, message)
+        elif kind is DataPacket:
+            routing.handle_data(self.sim, self, message)
+        elif kind is RouteReply:
+            routing.handle_rrep(self.sim, self, message)
         elif kind is SecondaryAnnounce:
             self.on_secondary_announce(message)
         else:
-            try:
-                name = _ROUTING_HANDLERS[kind]
-            except KeyError:
-                raise TypeError(f"node {self.node_id} cannot handle a message of type "
-                                f"{kind.__name__}") from None
-            getattr(routing, name)(self.sim, self, message)
+            raise TypeError(f"node {self.node_id} cannot handle a message of type "
+                            f"{kind.__name__}")
 
     # -- HELLO processing --------------------------------------------------
 
@@ -316,10 +304,10 @@ class Node:
 
     def _join_best_head(self, entries: List[Hello]) -> bool:
         """Join the best head among entries (current_head_entries(), or
-        current_degree_entries()), other than head_id: for a member, the
-        head that stepped down; an undecided node has none. True if it
-        joined one."""
-        heads = [e for e in entries if e.sender_role == ROLE_HEAD and e.sender_id != self.head_id]
+        current_degree_entries()). None of them is head_id: an undecided
+        node has none, and a member calls this right after storing its
+        head's HELLO as a non-head. True if it joined one."""
+        heads = [e for e in entries if e.sender_role == ROLE_HEAD]
         if not heads:
             return False
         self._join(min(heads, key=_entry_rank))
@@ -416,7 +404,7 @@ class Node:
             # Promotion in place: the cluster re-labels to the new head's id.
             self.become_head()
             return
-        if secondary is not None and secondary in self.neighbors:
+        if secondary in self.neighbors:   # None is never a key
             self.head_id = secondary
             self.secondary = None
             return

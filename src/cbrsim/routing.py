@@ -71,7 +71,7 @@ def _retry_deferred(sim: Simulator, node, pending: _Pending) -> None:
     """A deferred discovery's retry. It is still the pending one: nothing
     else removes an entry whose seq is None."""
     del node.routing.pending[pending.dest_id]
-    if node.alive:
+    if node.role != ROLE_DEAD:
         initiate_discovery(sim, node, pending.dest_id)
 
 
@@ -96,7 +96,7 @@ def _on_rreq_timeout(sim: Simulator, node, pending: _Pending) -> None:
         del state.pending[pending.dest_id]
         for pid in state.queued.pop(pending.dest_id, ()):
             sim.account_dropped(pid, "no-route")
-    elif node.alive:
+    elif node.role != ROLE_DEAD:
         _send_rreq(sim, node, pending)
     else:
         del state.pending[pending.dest_id]
@@ -116,7 +116,7 @@ def _should_relay(node, recorded_path: List[int], dest_id: int) -> bool:
             return True
         if entry.cluster_id is not None and entry.cluster_id not in recorded_path:
             return True
-    return node.head_id is not None and node.head_id not in recorded_path
+    return node.head_id not in recorded_path   # a member always has a head
 
 
 def handle_rreq(sim: Simulator, node, rreq: RouteRequest) -> None:
@@ -199,7 +199,7 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
     route, i = packet.route, packet.cursor
     after = route[i + 2] if i + 2 < len(route) else None
     while True:
-        if not node.alive:
+        if node.role == ROLE_DEAD:
             # The failed transmission drained the reporter itself.
             sim.account_dropped(packet.packet_id, "dead-forwarder")
             return None
@@ -239,5 +239,5 @@ def _route_error(sim: Simulator, packet: DataPacket) -> None:
 
 
 def handle_rerr(sim: Simulator, node, dest_id: int) -> None:
-    if node.alive:   # a dead source keeps its routes
+    if node.role != ROLE_DEAD:   # a dead source keeps its routes
         node.routing.routes.pop(dest_id, None)

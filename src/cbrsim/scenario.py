@@ -128,7 +128,7 @@ def _start(sim: Simulator, nodes: List[Node]) -> None:
     _every(sim, sim.now + interval, interval, "hello", partial(_hello_round, nodes))
     _hello_round(nodes)
     for node in nodes:
-        if node.alive:
+        if node.role != ROLE_DEAD:
             node._restart_undecided_timer()
 
 

@@ -38,7 +38,7 @@ def render_snapshot(sim: Simulator, range_circles: bool = False,
 
     # Membership edges first so markers draw on top.
     for node in sim.nodes.values():
-        if node.role == ROLE_MEMBER and node.head_id in sim.nodes:
+        if node.role == ROLE_MEMBER:   # its head is a node of the run
             head = sim.nodes[node.head_id]
             parts.append(
                 f'<line x1="{sx(node.pos.x):.1f}" y1="{sy(node.pos.y):.1f}" '
@@ -59,7 +59,7 @@ def render_snapshot(sim: Simulator, range_circles: bool = False,
             f'r="{_NODE_RADIUS:g}" fill="{color}" data-node="{node.node_id}" '
             f'data-role="{node.role}"/>')
         label = str(node.node_id)
-        if weight_labels and node.alive:
+        if weight_labels and node.role != ROLE_DEAD:
             weight = node.election_weight()   # None in cbrp: no label
             if weight is not None:
                 label += f" w={weight:.2f}"

@@ -27,9 +27,9 @@ FAILOVER_FLOW = (4, 3)
 FAILOVER_KILL_TIME = 10.0
 
 
-def failover_config(mode: str, duration_s: float = 20.0) -> ScenarioConfig:
+def failover_config(mode: str) -> ScenarioConfig:
     return ScenarioConfig(
-        node_count=5, duration_s=duration_s, seed=7, protocol_mode=mode,
+        node_count=5, duration_s=20.0, seed=7, protocol_mode=mode,
         node_speed_mps=0.0, pause_time_s=0.0,
         w1=10.0, w2=0.01, w3=0.0, w4=0.0, ideal_degree=3,
         initial_energy=1000.0,
@@ -39,14 +39,12 @@ def failover_config(mode: str, duration_s: float = 20.0) -> ScenarioConfig:
 
 @dataclass
 class FailoverResult:
-    mode: str
-    metrics: RunMetrics
     sim: Simulator
     delivered_after_kill: int
 
 
-def run_failover_trace(mode: str, duration_s: float = 20.0) -> FailoverResult:
-    config = failover_config(mode, duration_s)
+def run_failover_trace(mode: str) -> FailoverResult:
+    config = failover_config(mode)
     sim = build_simulation(config, positions=dict(FAILOVER_POSITIONS),
                            flow_pairs=[FAILOVER_FLOW])
     sim.trace = []
@@ -57,7 +55,7 @@ def run_failover_trace(mode: str, duration_s: float = 20.0) -> FailoverResult:
         packet_id for t, packet_id, _from, to in sim.records("hop")
         if t >= FAILOVER_KILL_TIME and to == dest
     }
-    return FailoverResult(mode, sim.metrics, sim, len(after_kill))
+    return FailoverResult(sim, len(after_kill))
 
 
 def stress_config(mode: str, seed: int) -> ScenarioConfig:

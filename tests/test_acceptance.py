@@ -91,16 +91,16 @@ def test_criterion_3_scripted_failover():
     _register("failover ecbrp", enhanced.sim)
     _register("failover cbrp", baseline.sim)
     e_ok = (enhanced.delivered_after_kill > 0
-            and enhanced.metrics.cluster_reformations == 0
-            and enhanced.metrics.total_dropped == 0)
-    b_ok = (baseline.metrics.cluster_reformations >= 1
-            or baseline.metrics.dropped["route-error"] >= 1)
+            and enhanced.sim.metrics.cluster_reformations == 0
+            and enhanced.sim.metrics.total_dropped == 0)
+    b_ok = (baseline.sim.metrics.cluster_reformations >= 1
+            or baseline.sim.metrics.dropped["route-error"] >= 1)
     ok = e_ok and b_ok and elapsed < 1.0
     _report(3, "secondary head keeps mid-flow traffic alive", ok,
             f"enhanced: {enhanced.delivered_after_kill} delivered after head death, "
-            f"{enhanced.metrics.cluster_reformations} reformations; "
-            f"baseline: {baseline.metrics.cluster_reformations} reformations, "
-            f"{baseline.metrics.dropped['route-error']} route-error drops; "
+            f"{enhanced.sim.metrics.cluster_reformations} reformations; "
+            f"baseline: {baseline.sim.metrics.cluster_reformations} reformations, "
+            f"{baseline.sim.metrics.dropped['route-error']} route-error drops; "
             f"runtime {elapsed:.2f}s")
     assert e_ok
     assert b_ok

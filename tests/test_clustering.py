@@ -121,7 +121,7 @@ def spy_on_hellos(monkeypatch, log):
     send_hello = Node.send_hello
 
     def spy(node):
-        if node.alive:
+        if node.role != ROLE_DEAD:
             log.append((node.sim.now, "hello", node.node_id))
         send_hello(node)
     monkeypatch.setattr(Node, "send_hello", spy)
@@ -513,7 +513,7 @@ def test_no_hello_carries_the_dead_role(monkeypatch):
     sim = build_simulation(config)
     sim.run_until(config.duration_s)
     assert received
-    assert sum(not n.alive for n in sim.nodes.values()) > 0
+    assert sum(n.role == ROLE_DEAD for n in sim.nodes.values()) > 0
 
 
 @pytest.mark.parametrize("config", [

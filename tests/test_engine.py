@@ -345,10 +345,10 @@ def _brute_force_in_range(sim, node_id):
     """The reference scan: every other alive node, in self.nodes order, that
     geometry.distance puts within radio range; nothing for a dead node."""
     me = sim.nodes[node_id]
-    if not me.alive:
+    if me.role == ROLE_DEAD:
         return ()
     return tuple(other_id for other_id, other in sim.nodes.items()
-                 if other_id != node_id and other.alive
+                 if other_id != node_id and other.role != ROLE_DEAD
                  and distance(me.pos, other.pos) <= sim.config.tx_range_m)
 
 
@@ -454,7 +454,7 @@ def test_neighbour_tables_of_successive_epochs_equal_brute_force_scan(data):
         add_node(sim, nid, *placed[-1])
     joined = 1000
     for _epoch in range(data.draw(st.integers(1, 6))):
-        alive = [nid for nid, node in sim.nodes.items() if node.alive]
+        alive = [nid for nid, node in sim.nodes.items() if node.role != ROLE_DEAD]
         for nid in data.draw(st.permutations(alive))[:_moved_count(data, alive)]:
             node = sim.nodes[nid]
             if data.draw(st.booleans()):
@@ -487,7 +487,7 @@ def test_every_query_of_whole_runs_equals_brute_force_scan(monkeypatch):
         got = query(sim, node_id)
         if got != _brute_force_in_range(sim, node_id):
             wrong.append((sim.config.protocol_mode, sim.now, node_id))
-        alive = [node for node in sim.nodes.values() if node.alive]
+        alive = [node for node in sim.nodes.values() if node.role != ROLE_DEAD]
         moving = sum(node.mobility.pause_remaining == 0.0 for node in alive)
         seen["static" if moving == 0 else "partial" if moving < len(alive) else "all"] += 1
         seen["after a death"] += len(alive) < len(sim.nodes)

@@ -44,7 +44,7 @@ def _undecided_has_no_head(node):
 
 
 def _forward_data(sim, node, packet):
-    if not node.alive:
+    if node.role == ROLE_DEAD:
         return None   # a transmission drained it: dropped as dead-forwarder
     route, i = packet.route, packet.cursor
     return route[i] == node.node_id and i + 1 < len(route)
@@ -87,7 +87,7 @@ INVARIANTS = (
      lambda node, hello, sender_id: None if node.mode != "ecbrp"
      else node.last_advertised_weight is not None),
     (Node, "become_head", lambda node, *args: not node.member_ids),
-    (Node, "table_maintenance", lambda node: node.alive),
+    (Node, "table_maintenance", lambda node: node.role != ROLE_DEAD),
     (Node, "on_undecided_timeout", _undecided_has_no_head),
     (Node, "_join_evaluate", _undecided_has_no_head),
     (Node, "on_hello",

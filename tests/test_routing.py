@@ -408,7 +408,7 @@ def _relay_by_list(node, recorded_path, dest_id):
     return (any(e.sender_id == dest_id
                 or (e.cluster_id is not None and e.cluster_id not in recorded_path)
                 for e in node.fresh_neighbors())
-            or (node.head_id is not None and node.head_id not in recorded_path))
+            or node.head_id not in recorded_path)
 
 
 @settings(max_examples=300, deadline=None)
@@ -419,7 +419,9 @@ def test_relay_decision_agrees_with_the_fresh_neighbour_list(data):
     sim.run_until(20.0)
     node = add_node(sim, 100, 0.0, 0.0)
     node.role = data.draw(st.sampled_from([ROLE_HEAD, ROLE_MEMBER, ROLE_UNDECIDED]))
-    node.head_id = data.draw(st.none() | ids)
+    # A member always has a head (tests/test_invariants.py); an undecided
+    # node never has one.
+    node.head_id = None if node.role == ROLE_UNDECIDED else data.draw(ids)
     for sender in data.draw(st.lists(ids, unique=True, max_size=8)):
         # 3.0 is the stale timeout exactly, which still counts as fresh.
         add_neighbor(node, sender, 10.0, 0.0, cluster=data.draw(st.none() | ids),
