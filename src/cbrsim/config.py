@@ -58,8 +58,9 @@ class ScenarioConfig:
     # Routing
     max_retries: int = 2
     rreq_timeout_s: float = 2.0
-    # The route cache was removed; only off is accepted. The key stays
-    # because perfbench/workloads.py passes route_cache=False.
+    # The route cache was removed. The field is no config-file or --set key
+    # and stays only because perfbench/workloads.py passes route_cache=False;
+    # validate() rejects True.
     route_cache: bool = False
 
     # Traffic
@@ -124,7 +125,8 @@ class ScenarioConfig:
             raise ConfigError("route_cache: the route cache was removed; only off is accepted")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+# The keys a config file or --set may name: every field but route_cache.
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig) if f.name != "route_cache"}
 
 
 def _parse_value(key: str, raw: str):
@@ -139,12 +141,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected an integer or 'none', got {raw!r}")
-    if ftype == "bool":
-        if raw.lower() in ("1", "true", "on", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "off", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if ftype == "int":
         try:
             return int(raw)

@@ -115,8 +115,10 @@ class Simulator:
     # -- trace stream ------------------------------------------------------
 
     def record(self, kind: str, *fields) -> None:
-        if self.trace is not None:
-            self.trace.append((self.now, kind, *fields))
+        """Append one record; the stream must be on. Every caller tests
+        `self.trace is not None` first, so a run with the stream off makes
+        no call."""
+        self.trace.append((self.now, kind, *fields))
 
     def records(self, kind: str) -> List[tuple]:
         """(time, *fields) of every record of one kind, in order."""
@@ -295,7 +297,7 @@ class Simulator:
 
     def account_dropped(self, packet_id: int, cause: str) -> None:
         self._outstanding.remove(packet_id)
-        self.metrics.drop(cause)
+        self.metrics.dropped[cause] += 1   # KeyError for a cause not in DROP_CAUSES
 
     @property
     def outstanding_packets(self) -> int:

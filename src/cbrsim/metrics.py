@@ -19,9 +19,6 @@ class RunMetrics:
     # behaviour digest (perfbench/workloads.py, run_digest) hashes it.
     malformed_entries: int = 0
 
-    def drop(self, cause: str) -> None:
-        self.dropped[cause] += 1   # KeyError for a cause not in DROP_CAUSES
-
     @property
     def total_dropped(self) -> int:
         return sum(self.dropped.values())

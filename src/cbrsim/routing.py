@@ -217,7 +217,8 @@ def recover_route(sim: Simulator, node, packet: DataPacket, failed_next: int,
             sim.account_dropped(packet.packet_id, "route-error")
             # Control-plane shortcut: the notice reaches the source directly.
             # The data packet itself was already dropped at the detector.
-            sim.schedule(sim.now, "route-error", partial(_route_error, sim, packet))
+            sim.schedule(sim.now, "route-error",
+                         partial(handle_rerr, sim, sim.nodes[packet.source_id], packet.dest_id))
             return None
         route[i + 1] = hop
         if sim.unicast(node.node_id, hop, packet):
@@ -232,10 +233,6 @@ def _salvage_candidate(node, route: List[int], after: int, tried: Set[int]) -> O
                   if e.sender_id not in route and e.sender_id not in tried
                   and after in e.neighbor_snapshot]
     return min(candidates) if candidates else None
-
-
-def _route_error(sim: Simulator, packet: DataPacket) -> None:
-    handle_rerr(sim, sim.nodes[packet.source_id], packet.dest_id)
 
 
 def handle_rerr(sim: Simulator, node, dest_id: int) -> None:

@@ -160,10 +160,5 @@ def _schedule_traffic(sim: Simulator, flow_pairs: Sequence[Tuple[int, int]]) -> 
         return
     period = 1.0 / cfg.packets_per_second
     for src, dst in flow_pairs:
-        _every(sim, cfg.traffic_start_s, period, "traffic", partial(_generate, sim, src, dst))
-
-
-def _generate(sim: Simulator, src: int, dst: int) -> None:
-    # Looked up on the module at each packet, so a patched
-    # routing.generate_packet is the one that runs.
-    routing.generate_packet(sim, src, dst)
+        _every(sim, cfg.traffic_start_s, period, "traffic",
+               partial(routing.generate_packet, sim, src, dst))

@@ -1,10 +1,12 @@
 """Run the benchmark in two checkouts, in alternating pairs, and compare.
 
+    python3 tests/ab_pairs.py PARENT CHANGE
     python3 tests/ab_pairs.py PARENT CHANGE --workload flood-traffic --pairs 5 --seconds 30
-    python3 tests/ab_pairs.py PARENT CHANGE --workload flood-traffic,paper-sweep,beacon-dense
 
---workload takes one workload or a comma-separated list; the workloads run
-in turn, each with its own pairs, and each gets its own block of output.
+--workload takes one workload or a comma-separated list, by default every
+workload BENCHMARK.json lists; the workloads run in turn, each with its own
+pairs, and each gets its own block of output. --pairs defaults to 10: with
+fewer, nine tenths of the pairs, rounded up, is all of them.
 Each pair runs `python3 perfbench/run.py --trace 0` once in each checkout,
 PARENT first in even pairs and CHANGE first in odd ones, so a drift of the
 host's speed falls on both sides alike. The last line of each run is its JSON
@@ -119,9 +121,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True,
-                        help="a workload, or a comma-separated list run in turn")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--workload", default=ALL_WORKLOADS,
+                        help=f"a workload, or a comma-separated list run in turn "
+                             f"(default {ALL_WORKLOADS})")
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)

@@ -110,10 +110,8 @@ class _Parsed(Exception):
     pass
 
 
-@pytest.mark.parametrize("tool", ["call_counts", "live_bytes", "trace_counts"])
-def test_every_tool_defaults_to_every_benchmark_workload(tool, monkeypatch):
-    # Stop each tool's main() right after it parses its flags.
-    names = [w["name"] for w in json.loads(ab_pairs.SPEC.read_text())["workloads"]]
+def _parsed_flags(tool, monkeypatch):
+    """The flags a tool's main() parses from ["a", "b"]; it stops right there."""
     parse = argparse.ArgumentParser.parse_args
 
     def parse_and_stop(parser, argv):
@@ -122,4 +120,15 @@ def test_every_tool_defaults_to_every_benchmark_workload(tool, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_and_stop)
     with pytest.raises(_Parsed) as parsed:
         importlib.import_module(tool).main(["a", "b"])
-    assert parsed.value.args[0].workload.split(",") == names
+    return parsed.value.args[0]
+
+
+@pytest.mark.parametrize("tool", ["ab_pairs", "call_counts", "live_bytes", "trace_counts"])
+def test_every_tool_defaults_to_every_benchmark_workload(tool, monkeypatch):
+    names = [w["name"] for w in json.loads(ab_pairs.SPEC.read_text())["workloads"]]
+    assert _parsed_flags(tool, monkeypatch).workload.split(",") == names
+
+
+def test_ab_pairs_runs_ten_pairs_by_default(monkeypatch):
+    # Ten pairs: with fewer, nine tenths of them is every pair.
+    assert _parsed_flags("ab_pairs", monkeypatch).pairs == 10

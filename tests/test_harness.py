@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import cbrsim
 from cbrsim import (ConfigError, RunMetrics, ScenarioConfig, load_config_file,
                     pdr, run_scenario, sweep, sweep_to_csv, write_sweep_csv)
 from cbrsim.cli import main
-from cbrsim.config import MAX_FIRINGS
+from cbrsim.config import _FIELD_TYPES, MAX_FIRINGS
 from cbrsim.engine import Simulator
 from cbrsim.experiment import CSV_COLUMNS
 from cbrsim.geometry import Position
@@ -184,16 +185,28 @@ def test_config_file_parsing(tmp_path):
         "# demo scenario\n"
         "node_count = 12\n"
         "protocol_mode = cbrp\n"
-        "route_cache = on\n"
         "flows = none\n"
         "node_speed_mps = 12.5\n"
         "\n")
     config = load_config_file(str(path))
     assert config.node_count == 12
     assert config.protocol_mode == "cbrp"
-    assert config.route_cache is True
     assert config.flows is None
     assert config.node_speed_mps == 12.5
+
+
+def test_config_file_round_trips_every_key(tmp_path):
+    # Every field but route_cache is a key, none of them boolean, and the
+    # text form of each default reads back as that default.
+    default = ScenarioConfig()
+    keys = [f.name for f in fields(default) if f.name != "route_cache"]
+    assert "bool" not in _FIELD_TYPES.values()
+    assert list(_FIELD_TYPES) == keys
+    text = {key: getattr(default, key) for key in keys}
+    path = tmp_path / "defaults.conf"
+    path.write_text("".join(f"{key} = {'none' if value is None else value}\n"
+                            for key, value in text.items()))
+    assert load_config_file(str(path)) == default
 
 
 def test_config_file_leaves_the_base_config_unchanged(tmp_path):
@@ -380,28 +393,20 @@ def test_cli_non_finite_number_exits_2(value, capsys):
     (["--set", "duration_s=abc"], "duration_s"),
     (["--config", "{conf}"], "line 2"),
     (["--set", "route_cache"], "--set"),
-    (["--set", "route_cache=off"], None),
+    (["--set", "route_cache=off"], "route_cache"),
     (["--config", "{tmp}/latin1.conf"], "latin1.conf: not UTF-8"),
     (["--config", "{tmp}/missing.conf"], "missing.conf"),
 ])
-def test_cli_config_boundary(args, named, tmp_path, monkeypatch, capsys):
-    # Each bad value exits 2 and names its key or source; route_cache=off
-    # parses to False and runs.
+def test_cli_config_boundary(args, named, tmp_path, capsys):
+    # Each bad value exits 2 and names its key or source. route_cache is no
+    # key, so any value of it is turned away.
     conf = tmp_path / "bad.conf"
     conf.write_text("node_count = 5\nroute_cache\n")
     (tmp_path / "latin1.conf").write_bytes(b"# caf\xa0\nnode_count = 5\n")
-    runs = []
-    run = cbrsim.cli.run_scenario_sim
-    monkeypatch.setattr(cbrsim.cli, "run_scenario_sim",
-                        lambda config: runs.append(config) or run(config))
     argv = ["run", "--set", "node_count=5", "--set", "duration_s=1",
             *(a.format(conf=conf, tmp=tmp_path) for a in args)]
-    if named is None:
-        assert main(argv) == 0
-        assert runs[0].route_cache is False
-    else:
-        assert main(argv) == 2
-        assert named in capsys.readouterr().err
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_route_cache_only_accepts_off():
@@ -428,19 +433,20 @@ def test_cli_rejects_route_cache_on_before_any_run(args, tmp_path, monkeypatch, 
     assert runs == []
 
 
-@pytest.mark.parametrize("spelling, on", [
-    ("on", True), ("true", True), ("yes", True), ("1", True),
-    ("off", False), ("false", False), ("no", False), ("0", False),
-])
-def test_config_file_route_cache_accepts_only_off_in_every_spelling(spelling, on, tmp_path,
-                                                                    capsys):
-    # The parser still reads each boolean spelling; validate() turns away
-    # every spelling of on, and every spelling of off runs.
+@pytest.mark.parametrize("spelling", ["on", "true", "yes", "1", "off", "false", "no", "0"])
+def test_config_file_route_cache_is_unknown_in_every_spelling(spelling, tmp_path,
+                                                              monkeypatch, capsys):
+    # route_cache is no config key: off is turned away as on is, by name,
+    # before any run starts.
     conf = tmp_path / "cache.conf"
     conf.write_text(f"node_count = 5\nduration_s = 1\nroute_cache = {spelling}\n")
-    assert load_config_file(str(conf)).route_cache is on
-    assert main(["run", "--config", str(conf)]) == (2 if on else 0)
-    assert ("route_cache" in capsys.readouterr().err) is on
+    with pytest.raises(ConfigError, match="route_cache: unknown configuration key"):
+        load_config_file(str(conf))
+    runs = []
+    monkeypatch.setattr(Simulator, "run_until", lambda sim, t_end: runs.append(sim))
+    assert main(["run", "--config", str(conf)]) == 2
+    assert "route_cache: unknown configuration key" in capsys.readouterr().err
+    assert runs == []
 
 
 @pytest.mark.parametrize("key", ["stale_timeout_intervals", "undecided_timer_intervals"])
